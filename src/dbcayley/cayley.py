@@ -8,9 +8,16 @@ BFS suffices for exact diameter verification.
 
 The BFS works on dense element indices with flat numpy arrays and is
 sequential and deterministic: per-level counts are set-based, so the
-histogram does not depend on any traversal order.  Memory is roughly
-4 bytes per group element plus transient frontier arrays; above the state
-cap the search refuses instead of degrading.
+histogram does not depend on any traversal order.  Memory is one distance
+array (4 bytes per group element, 2 below 2**15 elements), a 1-byte-per-
+element mask while a level's frontier is extracted, and transient arrays
+the size of one shift's share of the frontier.  Each expanded level costs
+frontier x degree neighbour evaluations plus one pass over the distance
+array.  The search stops once every vertex has a distance, so the last
+level, which holds most vertices, is never expanded or scanned.  Above the
+state cap the search refuses instead of degrading.  Exports walk the
+vertices in blocks through the same neighbour kernel, so their memory
+does not grow with the graph.
 """
 
 from __future__ import annotations
@@ -75,61 +82,92 @@ def neighbors(g: GroupElement, gens: GeneratorSet) -> list[GroupElement]:
     return [params.mul(g, s) for s in gens.elements]
 
 
-def _generator_tables(gens: GeneratorSet):
-    """Per-(source shift, generator) addends and target shifts.
+class _NeighborKernel:
+    """Right multiplication by every generator, vectorised over index blocks.
 
-    Right-multiplying (u; su) by (v; sv) adds alpha^su(v) to the vector and
-    sv to the shift, so for each source shift su the vector addend is a
-    constant; its dense value and base-t digits are precomputed here.
+    Right-multiplying (x; su) by (v; sv) adds A = alpha^su(v) to x digit by
+    digit mod t and moves to shift su + sv, so for each source shift the
+    addend is a constant.  On the dense vector part x of a vertex the
+    neighbour is x XOR A for t = 2, and otherwise
+
+        x + A - sum over i in nz(A) of t**(i+1) * [digit_i(x) + a_i >= t],
+
+    where the term at i = r-1 subtracts t**r, the wrap of the top digit.
+    Only A's nonzero digits are read, each at most once per block.
+    """
+
+    def __init__(self, gens: GeneratorSet):
+        params = gens.params
+        t, r = params.t, params.r
+        n = params.order()
+        self.t = t
+        self.base = t**r
+        # per source shift, per generator: the dense index of (A; su + sv),
+        # which is A plus the target shift's offset, and one
+        # (t**i, t - a_i, t**(i+1)) carry per nonzero digit a_i of A
+        self.steps = []
+        for su in range(r):
+            row = []
+            for vec, sv in gens.elements:
+                rotated = shift_alpha(vec, su)
+                addend = params.encode(GroupElement(rotated, (su + sv) % r), cap=n)
+                carries = tuple(
+                    (t**i, t - a, t ** (i + 1)) for i, a in enumerate(rotated) if a
+                )
+                row.append((addend, carries))
+            self.steps.append(row)
+
+    def neighbors(self, su: int, vec: np.ndarray):
+        """Yield the neighbour indices of a block, one array per generator.
+
+        ``vec`` holds the vector parts (index minus ``su * t**r``, int64) of
+        vertices that all have shift ``su``; arrays come in generator order
+        and are aligned with ``vec``.
+        """
+        t = self.t
+        digits: dict[int, np.ndarray] = {}
+        for addend, carries in self.steps[su]:
+            if t == 2:
+                # the addend's shift offset lies above every vector bit
+                nb = vec ^ addend
+            else:
+                nb = vec + addend
+                for place, threshold, weight in carries:
+                    digit = digits.get(place)
+                    if digit is None:
+                        digit = digits[place] = vec // place % t
+                    np.subtract(nb, weight, out=nb, where=digit >= threshold)
+            yield nb
+
+
+def _bfs_distances(
+    gens: GeneratorSet, source_index: int, cap: int
+) -> tuple[np.ndarray, list[int]]:
+    """Every vertex's distance from the source, and the per-level counts.
+
+    Level-synchronous top-down BFS that stops as soon as every vertex has a
+    distance: the last level is filled in while the one before it is
+    expanded, and is itself never expanded.
     """
     params = gens.params
-    t, r = params.t, params.r
-    d = len(gens.elements)
-    digit_dtype = np.uint16 if t <= 0x7FFF else np.int64
-    add_value = np.empty((r, d), dtype=np.int64)
-    add_digits = np.empty((r, d, r), dtype=digit_dtype)
-    target_shift = np.empty((r, d), dtype=np.int64)
-    for su in range(r):
-        for j, (vec, sv) in enumerate(gens.elements):
-            rotated = shift_alpha(vec, su)
-            value = 0
-            for coord in reversed(rotated):
-                value = value * t + coord
-            add_value[su, j] = value
-            add_digits[su, j] = rotated
-            target_shift[su, j] = (su + sv) % r
-    return add_value, add_digits, target_shift
-
-
-def _bfs_distances(gens: GeneratorSet, source_index: int, cap: int) -> np.ndarray:
-    params = gens.params
-    t, r = params.t, params.r
+    r = params.r
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
-    base = t**r
-    d = len(gens.elements)
-    add_value, add_digits, target_shift = _generator_tables(gens)
-
-    digits = None
-    if t != 2:
-        digits = np.empty((base, r), dtype=add_digits.dtype)
-        tmp = np.arange(base, dtype=np.int64)
-        for i in range(r):
-            digits[:, i] = tmp % t
-            tmp //= t
+    kernel = _NeighborKernel(gens)
+    base = kernel.base
 
     # distances are bounded by n - 1, so promote the dtype when a pathological
     # (non-construction) set could push the eccentricity past int16
-    dist_dtype = np.int16 if n <= 0x7FFF else np.int32
-    dist = np.full(n, -1, dtype=dist_dtype)
+    dist = np.full(n, -1, dtype=np.int16 if n <= 0x7FFF else np.int32)
     dist[source_index] = 0
+    histogram = [1]
+    reached = 1
     block_edges = np.arange(r + 1, dtype=np.int64) * base
-    level = 0
-    while True:
-        frontier = np.flatnonzero(dist == level)
-        if frontier.size == 0:
-            break
+    while reached < n:
+        level = len(histogram)
+        frontier = np.flatnonzero(dist == level - 1)
+        count = 0
         # indices are shift-major, so a sorted frontier splits into one
         # contiguous segment per source shift
         cuts = np.searchsorted(frontier, block_edges)
@@ -137,26 +175,17 @@ def _bfs_distances(gens: GeneratorSet, source_index: int, cap: int) -> np.ndarra
             seg = frontier[cuts[su]:cuts[su + 1]]
             if seg.size == 0:
                 continue
-            vec_part = seg - su * base
-            if t == 2:
-                for j in range(d):
-                    nb = (vec_part ^ add_value[su, j]) + target_shift[su, j] * base
-                    fresh = nb[dist[nb] == -1]
-                    dist[fresh] = level + 1
-            else:
-                seg_digits = digits[vec_part]
-                for j in range(d):
-                    w = seg_digits + add_digits[su, j]
-                    w[w >= t] -= t
-                    value = w[:, r - 1].astype(np.int64)
-                    for i in range(r - 2, -1, -1):
-                        value *= t
-                        value += w[:, i]
-                    nb = value + target_shift[su, j] * base
-                    fresh = nb[dist[nb] == -1]
-                    dist[fresh] = level + 1
-        level += 1
-    return dist
+            for nb in kernel.neighbors(su, seg - su * base):
+                fresh = nb[dist[nb] < 0]
+                # one generator maps distinct vertices to distinct vertices,
+                # so a step's finds are counted exactly once
+                count += fresh.size
+                dist[fresh] = level
+        if count == 0:
+            raise DisconnectedGraphError(n - reached, histogram)
+        histogram.append(count)
+        reached += count
+    return dist, histogram
 
 
 def bfs_from(
@@ -167,12 +196,7 @@ def bfs_from(
 ) -> BfsResult:
     """Exact eccentricity and per-level counts from an arbitrary source."""
     source_index = gens.params.encode(source, cap=cap)
-    dist = _bfs_distances(gens, source_index, cap)
-    reached = dist >= 0
-    histogram = np.bincount(dist[reached].astype(np.int64)).tolist()
-    unreachable = int(dist.size - reached.sum())
-    if unreachable:
-        raise DisconnectedGraphError(unreachable, histogram)
+    dist, histogram = _bfs_distances(gens, source_index, cap)
     return BfsResult(
         diameter=len(histogram) - 1,
         histogram=histogram,
@@ -271,16 +295,8 @@ def verify_construction(
 
 # --- explicit exports -------------------------------------------------------
 
-def _arcs(gens: GeneratorSet, cap: int):
-    """Yield (u, v) index pairs sorted by (u, generator position)."""
-    params = gens.params
-    n = params.order()
-    if n > cap:
-        raise CapExceededError(n, cap)
-    for u in range(n):
-        g = params.decode(u, cap=cap)
-        for s in gens.elements:
-            yield u, params.encode(params.mul(g, s), cap=cap)
+#: arcs formatted per write, so an export's memory is bounded whatever the degree
+_EXPORT_ARCS = 1 << 16
 
 
 def write_graph(
@@ -295,36 +311,52 @@ def write_graph(
     "u v" line per arc (per edge with u <= v when undirected); ``dot``
     emits a digraph/graph block; ``adjacency`` emits one "u: n1 n2 ..."
     line per vertex with neighbors in generator order.  Output bytes are
-    deterministic given the set and format.
+    deterministic given the set and format.  Vertices are walked in index
+    order, a block of about ``_EXPORT_ARCS`` arcs at a time, so memory does
+    not grow with the graph.
     """
     if fmt not in EXPORT_FORMATS:
         raise ParameterError(
             f"unknown export format {fmt!r}; choose one of {', '.join(EXPORT_FORMATS)}"
         )
-    n = gens.params.order()
+    params = gens.params
+    n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
-    if fmt == "edge-list":
-        for u, v in _arcs(gens, cap):
-            if gens.directed or u <= v:
-                out.write(f"{u} {v}\n")
-    elif fmt == "dot":
-        arrow = "->" if gens.directed else "--"
-        out.write("digraph {\n" if gens.directed else "graph {\n")
-        for u in range(n):
-            out.write(f"  {u};\n")
-        for u, v in _arcs(gens, cap):
-            if gens.directed or u <= v:
-                out.write(f"  {u} {arrow} {v};\n")
-        out.write("}\n")
+    kernel = _NeighborKernel(gens)
+    base = kernel.base
+    d = len(gens.elements)
+    # vertices per block; a block never straddles two source shifts
+    block = max(1, _EXPORT_ARCS // max(d, 1))
+    if fmt == "adjacency":
+        line = "%d: " + " ".join(["%d"] * d) + "\n"
+    elif fmt == "edge-list":
+        line = "%d %d\n"
     else:
-        params = gens.params
-        for u in range(n):
-            g = params.decode(u, cap=cap)
-            row = " ".join(
-                str(params.encode(params.mul(g, s), cap=cap)) for s in gens.elements
-            )
-            out.write(f"{u}: {row}\n")
+        line = "  %d -> %d;\n" if gens.directed else "  %d -- %d;\n"
+        out.write("digraph {\n" if gens.directed else "graph {\n")
+        for start in range(0, n, block):
+            stop = min(start + block, n)
+            out.write(("  %d;\n" * (stop - start)) % tuple(range(start, stop)))
+
+    for su in range(params.r):
+        for start in range(0, base, block):
+            vec = np.arange(start, min(start + block, base), dtype=np.int64)
+            rows = np.empty((vec.size, d), dtype=np.int64)
+            for j, nb in enumerate(kernel.neighbors(su, vec)):
+                rows[:, j] = nb
+            u = vec + su * base
+            if fmt == "adjacency":
+                fields = np.column_stack((u, rows))
+            else:
+                sources = np.broadcast_to(u[:, None], rows.shape)
+                if not gens.directed:
+                    keep = sources <= rows
+                    sources, rows = sources[keep], rows[keep]
+                fields = np.column_stack((sources.ravel(), rows.ravel()))
+            out.write((line * len(fields)) % tuple(fields.ravel().tolist()))
+    if fmt == "dot":
+        out.write("}\n")
 
 
 def export_graph(gens: GeneratorSet, fmt: str, cap: int = DEFAULT_STATE_CAP) -> bytes:

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .bounds import compare, optimal_ell
-from .cayley import GraphReport, export_graph, verify_construction
+from .cayley import GraphReport, verify_construction, write_graph
 from .generators import (
     GeneratorClassOverlapError,
     SpecParseError,
@@ -120,12 +121,21 @@ def _cmd_verify(args) -> int:
 def _cmd_export(args) -> int:
     spec = parse_spec(args.spec)
     gens = build(spec)
-    data = export_graph(gens, args.graph_format, cap=args.cap)
-    if args.out:
-        with open(args.out, "wb") as handle:
-            handle.write(data)
-    else:
-        sys.stdout.write(data.decode("ascii"))
+    if not args.out:
+        try:
+            write_graph(gens, args.graph_format, sys.stdout, cap=args.cap)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early (``| head``), which is not a failure;
+            # point stdout at devnull so the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    # refuse before the --out file is created or truncated
+    order = gens.params.order()
+    if order > args.cap:
+        raise CapExceededError(order, args.cap)
+    with open(args.out, "w", encoding="ascii", newline="\n") as handle:
+        write_graph(gens, args.graph_format, handle, cap=args.cap)
     return EXIT_OK
 
 

@@ -3,7 +3,10 @@
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbcayley import (
     CapExceededError,
@@ -24,6 +27,7 @@ from dbcayley import (
     validate,
     verify_construction,
 )
+from dbcayley.cayley import _NeighborKernel
 
 SMALL_SPECS = [
     "thm1:k=4,d=3",
@@ -137,6 +141,7 @@ def test_bfs_reports_unreachable_for_non_generating_set():
     with pytest.raises(DisconnectedGraphError) as excinfo:
         bfs_from_identity(lone)
     assert excinfo.value.unreachable == 21  # the shift subgroup has 3 elements
+    assert excinfo.value.histogram == [1, 1, 1]
 
 
 def test_vertex_transitivity_spot_check():
@@ -176,6 +181,103 @@ def test_diameter_equals_claim_across_families():
                     assert bfs_from_identity(thm3_directed(k, ell, t, m)).diameter == k
                     if m == 1:
                         assert bfs_from_identity(thm4_undirected(k, ell, t, m)).diameter == k
+
+
+def test_distances_fill_the_last_level():
+    # the search stops before expanding the last level; that level must
+    # still be written into the distance array
+    for spec_text in [
+        "thm1:k=4,d=7",
+        "thm1:k=6,d=7",
+        "thm2:k=5,d=11",
+        "thm3:k=3,l=2,t=3,m=1",
+        "thm4:k=3,l=2,t=3,m=1",
+    ]:
+        result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
+        assert np.bincount(result.distances).tolist() == result.histogram, spec_text
+        assert all(type(count) is int for count in result.histogram)
+
+
+def test_bfs_from_non_identity_source_matches_scalar_bfs():
+    for spec_text in ["thm1:k=4,d=6", "thm2:k=4,d=9", "thm3:k=3,l=2,t=2,m=1"]:
+        gens = build(parse_spec(spec_text))
+        params = gens.params
+        source = params.decode(params.order() - 5)
+        expected = {source: 0}
+        level = [source]
+        while level:
+            nxt = []
+            for g in level:
+                for h in neighbors(g, gens):
+                    if h not in expected:
+                        expected[h] = expected[g] + 1
+                        nxt.append(h)
+            level = nxt
+        result = bfs_from(gens, source, want_distances=True)
+        assert [expected[params.decode(u)] for u in range(params.order())] == (
+            result.distances.tolist()
+        ), spec_text
+
+
+# --- neighbour kernel ------------------------------------------------------------
+
+@st.composite
+def kernel_cases(draw):
+    """A group, a generator list and one block of vector parts.
+
+    Generator vectors are dense (every digit random) or sparse (mostly zero
+    digits); t > 0x7FFF, with r = 2, is the range where a narrow per-digit
+    dtype would overflow.
+    """
+    t = draw(st.one_of(st.integers(2, 7), st.integers(0x8000, 0x10000)))
+    r = 2 if t > 0x7FFF else draw(st.integers(2, 6))
+    params = GroupParams(t, r)
+    digit = st.integers(0, t - 1)
+    sparse_digit = st.one_of(st.just(0), st.just(0), st.just(0), digit)
+    vector = st.lists(digit if draw(st.booleans()) else sparse_digit, min_size=r, max_size=r)
+    elements = draw(st.lists(st.tuples(vector, st.integers(0, r - 1)), max_size=6))
+    gens = GeneratorSet(
+        params, tuple(params.element(vec, sv) for vec, sv in elements), directed=True
+    )
+    block = draw(st.lists(st.integers(0, t**r - 1), max_size=40))
+    return gens, block
+
+
+def _check_kernel(gens, block):
+    params = gens.params
+    n = params.order()
+    base = params.t**params.r
+    kernel = _NeighborKernel(gens)
+    vec = np.array(block, dtype=np.int64)
+    for su in range(params.r):
+        produced = [nb.tolist() for nb in kernel.neighbors(su, vec)]
+        assert len(produced) == len(gens.elements)
+        for s, row in zip(gens.elements, produced):
+            expected = [
+                params.encode(params.mul(params.decode(su * base + x, cap=n), s), cap=n)
+                for x in block
+            ]
+            assert row == expected, (su, s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_cases())
+def test_kernel_matches_scalar_mul(case):
+    _check_kernel(*case)
+
+
+@pytest.mark.parametrize("t,r", [(2, 5), (3, 4), (7, 3), (0x8001, 2)])
+def test_kernel_carries_every_digit(t, r):
+    # (t-1, ..., t-1) plus an all-nonzero addend carries out of every digit,
+    # including the top one, which wraps by t**r
+    params = GroupParams(t, r)
+    gens = GeneratorSet(
+        params,
+        (params.element([t - 1] * r, 0), params.element(range(1, r + 1), r - 1)),
+        directed=True,
+    )
+    _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1])
+    _check_kernel(gens, [])
 
 
 # --- verify_construction ----------------------------------------------------------
@@ -297,17 +399,23 @@ def test_undirected_edge_list_has_u_le_v_once():
 
 
 def test_adjacency_rows_match_neighbors():
-    gens = thm3_directed(2, 2, 2, 1)
-    params = gens.params
-    data = export_graph(gens, "adjacency").decode("ascii")
-    for line in data.splitlines():
-        head, _, rest = line.partition(": ")
-        u = int(head)
-        listed = [int(x) for x in rest.split()]
-        expected = [
-            params.encode(g) for g in neighbors(params.decode(u), gens)
-        ]
-        assert listed == expected
+    for spec_text in [
+        "thm3:k=2,l=2,t=2,m=1",
+        "thm1:k=4,d=5",
+        "thm2:k=4,d=9",
+        "thm3:k=2,l=2,t=3,m=1",
+    ]:
+        gens = build(parse_spec(spec_text))
+        params = gens.params
+        data = export_graph(gens, "adjacency").decode("ascii")
+        for line in data.splitlines():
+            head, _, rest = line.partition(": ")
+            u = int(head)
+            listed = [int(x) for x in rest.split()]
+            expected = [
+                params.encode(g) for g in neighbors(params.decode(u), gens)
+            ]
+            assert listed == expected, spec_text
 
 
 def test_export_reimport_preserves_histogram():

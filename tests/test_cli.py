@@ -1,9 +1,13 @@
 """CLI workflows: spec strings in, JSON/tables out, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from dbcayley import build, export_graph, parse_spec
 from dbcayley.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -127,12 +131,52 @@ def test_export_deterministic_bytes(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["edge-list", "dot", "adjacency"])
+def test_export_stdout_and_file_match_export_graph(tmp_path, capsys, fmt):
+    spec = "thm2:k=4,d=9"
+    expected = export_graph(build(parse_spec(spec)), fmt)
+    code, out, _ = run_cli(capsys, "export", spec, fmt)
+    assert code == EXIT_OK
+    assert out.encode("ascii") == expected
+    target = tmp_path / "graph.txt"
+    code, _, _ = run_cli(capsys, "export", spec, fmt, "--out", str(target))
+    assert code == EXIT_OK
+    assert target.read_bytes() == expected
+
+
 def test_export_cap_refusal(capsys):
     code, _, err = run_cli(
         capsys, "export", "thm3:k=3,l=9,t=2,m=3", "edge-list", "--cap", "1000"
     )
     assert code == EXIT_RESOURCE
     assert "44040192" in err
+
+
+def test_export_to_a_reader_that_stops_early_exits_ok():
+    # like ``dbcayley export ... | head -1``: the reader closes the pipe
+    # while the export is still being written
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-m", "dbcayley.cli", "export", "thm2:k=5,d=21", "edge-list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline() == b"0 10000\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_OK
+    assert b"Error" not in err
+
+
+def test_export_cap_refusal_leaves_out_file_alone(tmp_path, capsys):
+    target = tmp_path / "graph.txt"
+    code, _, _ = run_cli(
+        capsys, "export", "thm3:k=3,l=9,t=2,m=3", "edge-list", "--cap", "1000",
+        "--out", str(target),
+    )
+    assert code == EXIT_RESOURCE
+    assert not target.exists()
 
 
 def test_compare_range_with_crossover(capsys):
