@@ -8,16 +8,20 @@ BFS suffices for exact diameter verification.
 
 The BFS works on dense element indices with flat numpy arrays and is
 sequential and deterministic: per-level counts are set-based, so the
-histogram does not depend on any traversal order.  Memory is one distance
-array (4 bytes per group element, 2 below 2**15 elements), a 1-byte-per-
-element mask while a level's frontier is extracted, and transient arrays
-the size of one shift's share of the frontier.  Each expanded level costs
-frontier x degree neighbour evaluations plus one pass over the distance
-array.  The search stops once every vertex has a distance, so the last
-level, which holds most vertices, is never expanded or scanned.  Above the
-state cap the search refuses instead of degrading.  Exports walk the
-vertices in blocks through the same neighbour kernel, so their memory
-does not grow with the graph.
+histogram does not depend on any traversal order.  Memory is one level map
+of 1 byte per group element (a vertex's distance plus one, 0 while
+unseen; widened once should a level pass 254), a second byte per element
+while the next frontier is extracted, and the frontier's indices.
+Neighbours are computed in generator-major chunks of about 2**16 arcs, so
+transient arrays stay small whatever the degree.  Each level is counted by
+one pass over the level map, and each expanded level also costs frontier x
+degree neighbour evaluations and one pass to extract its frontier.  The
+search stops once every vertex is reached, so the last level, which holds
+most vertices, is counted but never expanded; dense distances are built
+only when asked for.  Above the state cap the search refuses instead of
+degrading.  Exports walk the vertices through the same neighbour kernel in
+chunks of the same size, so their memory does not grow with the graph, and
+refuse above the cap in vertices or in arcs.
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ from .group import (
     CapExceededError,
     GroupElement,
     ParameterError,
-    shift_alpha,
 )
 
 EXPORT_FORMATS = ("edge-list", "dot", "adjacency")
@@ -82,6 +85,11 @@ def neighbors(g: GroupElement, gens: GeneratorSet) -> list[GroupElement]:
     return [params.mul(g, s) for s in gens.elements]
 
 
+#: arcs per neighbour chunk, in BFS and export alike, so memory is bounded
+#: whatever the degree
+_BLOCK_ARCS = 1 << 16
+
+
 class _NeighborKernel:
     """Right multiplication by every generator, vectorised over index blocks.
 
@@ -93,61 +101,75 @@ class _NeighborKernel:
         x + A - sum over i in nz(A) of t**(i+1) * [digit_i(x) + a_i >= t],
 
     where the term at i = r-1 subtracts t**r, the wrap of the top digit.
-    Only A's nonzero digits are read, each at most once per block.
+    Only digit places where some generator of a chunk has a nonzero digit
+    are read, each at most once per call.
     """
 
-    def __init__(self, gens: GeneratorSet):
+    def __init__(self, gens: GeneratorSet, chunk_arcs: int = _BLOCK_ARCS):
         params = gens.params
         t, r = params.t, params.r
         n = params.order()
         self.t = t
         self.base = t**r
-        # per source shift, per generator: the dense index of (A; su + sv),
-        # which is A plus the target shift's offset, and one
-        # (t**i, t - a_i, t**(i+1)) carry per nonzero digit a_i of A
-        self.steps = []
-        for su in range(r):
-            row = []
-            for vec, sv in gens.elements:
-                rotated = shift_alpha(vec, su)
-                addend = params.encode(GroupElement(rotated, (su + sv) % r), cap=n)
-                carries = tuple(
-                    (t**i, t - a, t ** (i + 1)) for i, a in enumerate(rotated) if a
-                )
-                row.append((addend, carries))
-            self.steps.append(row)
+        self.chunk_arcs = chunk_arcs
+        d = len(gens.elements)
+        # vector codes of the generators, and their target-shift offsets per
+        # source shift; alpha^su rotates the code's top su digits to the bottom
+        codes = np.array(
+            [params.encode(GroupElement(vec, 0), cap=n) for vec, _ in gens.elements],
+            dtype=np.int64,
+        )
+        shifts = np.array([sv for _, sv in gens.elements], dtype=np.int64)
+        su = np.arange(r, dtype=np.int64)[:, None]
+        low = t ** (r - su)
+        #: (r, d): the dense index of (alpha^su(v); su + sv) per source shift
+        self.addends = (codes % low) * (t**su) + codes // low + (su + shifts) % r * self.base
+        #: (d, r): carry threshold t - a_i per unrotated digit; a zero digit
+        #: gives t, which no digit reaches
+        vectors = np.array([vec for vec, _ in gens.elements], dtype=np.int64)
+        self.thresholds = t - vectors.reshape(d, r)
 
     def neighbors(self, su: int, vec: np.ndarray):
-        """Yield the neighbour indices of a block, one array per generator.
+        """Yield the neighbour indices of a block in generator-major chunks.
 
         ``vec`` holds the vector parts (index minus ``su * t**r``, int64) of
-        vertices that all have shift ``su``; arrays come in generator order
-        and are aligned with ``vec``.
+        vertices that all have shift ``su``.  Each chunk is a 2-D array of
+        about ``chunk_arcs`` arcs, one row per generator (in generator order)
+        aligned with ``vec``; a block of more than ``chunk_arcs`` vertices
+        gets one row per chunk.
         """
         t = self.t
+        addends = self.addends[su]
+        rows = max(1, self.chunk_arcs // max(vec.size, 1))
+        if t == 2:
+            # the addend's shift offset lies above every vector bit
+            for g in range(0, addends.size, rows):
+                yield vec ^ addends[g:g + rows, None]
+            return
+        thresholds = np.roll(self.thresholds, su, axis=1)
         digits: dict[int, np.ndarray] = {}
-        for addend, carries in self.steps[su]:
-            if t == 2:
-                # the addend's shift offset lies above every vector bit
-                nb = vec ^ addend
-            else:
-                nb = vec + addend
-                for place, threshold, weight in carries:
-                    digit = digits.get(place)
-                    if digit is None:
-                        digit = digits[place] = vec // place % t
-                    np.subtract(nb, weight, out=nb, where=digit >= threshold)
+        for g in range(0, addends.size, rows):
+            nb = vec + addends[g:g + rows, None]
+            chunk = thresholds[g:g + rows]
+            for place in np.flatnonzero((chunk < t).any(axis=0)).tolist():
+                digit = digits.get(place)
+                if digit is None:
+                    digit = digits[place] = vec // t**place % t
+                np.subtract(
+                    nb, t ** (place + 1), out=nb, where=digit >= chunk[:, place, None]
+                )
             yield nb
 
 
-def _bfs_distances(
+def _bfs_levels(
     gens: GeneratorSet, source_index: int, cap: int
 ) -> tuple[np.ndarray, list[int]]:
-    """Every vertex's distance from the source, and the per-level counts.
+    """Every vertex's level code, and the per-level counts.
 
-    Level-synchronous top-down BFS that stops as soon as every vertex has a
-    distance: the last level is filled in while the one before it is
-    expanded, and is itself never expanded.
+    Level-synchronous top-down BFS that stops as soon as every vertex is
+    reached: the last level is filled in while the one before it is
+    expanded, and is itself never expanded.  The returned map holds each
+    vertex's distance plus one.
     """
     params = gens.params
     r = params.r
@@ -157,17 +179,18 @@ def _bfs_distances(
     kernel = _NeighborKernel(gens)
     base = kernel.base
 
-    # distances are bounded by n - 1, so promote the dtype when a pathological
-    # (non-construction) set could push the eccentricity past int16
-    dist = np.full(n, -1, dtype=np.int16 if n <= 0x7FFF else np.int32)
-    dist[source_index] = 0
+    # level + 1 per vertex, 0 while unseen; one byte until a pathological
+    # (non-construction) set goes past level 254, then wide enough for n
+    level_map = np.zeros(n, dtype=np.uint8)
+    level_map[source_index] = 1
+    frontier = np.array([source_index], dtype=np.int64)
     histogram = [1]
     reached = 1
     block_edges = np.arange(r + 1, dtype=np.int64) * base
     while reached < n:
-        level = len(histogram)
-        frontier = np.flatnonzero(dist == level - 1)
-        count = 0
+        code = len(histogram) + 1
+        if code > np.iinfo(level_map.dtype).max:
+            level_map = level_map.astype(np.min_scalar_type(n))
         # indices are shift-major, so a sorted frontier splits into one
         # contiguous segment per source shift
         cuts = np.searchsorted(frontier, block_edges)
@@ -176,16 +199,17 @@ def _bfs_distances(
             if seg.size == 0:
                 continue
             for nb in kernel.neighbors(su, seg - su * base):
-                fresh = nb[dist[nb] < 0]
-                # one generator maps distinct vertices to distinct vertices,
-                # so a step's finds are counted exactly once
-                count += fresh.size
-                dist[fresh] = level
+                level_map[nb[level_map[nb] == 0]] = code
+        # a chunk can reach one vertex twice, so count the level once, here:
+        # every vertex seen so far is nonzero in the map
+        count = int(np.count_nonzero(level_map)) - reached
         if count == 0:
             raise DisconnectedGraphError(n - reached, histogram)
         histogram.append(count)
         reached += count
-    return dist, histogram
+        if reached < n:
+            frontier = np.flatnonzero(level_map == code)
+    return level_map, histogram
 
 
 def bfs_from(
@@ -196,11 +220,16 @@ def bfs_from(
 ) -> BfsResult:
     """Exact eccentricity and per-level counts from an arbitrary source."""
     source_index = gens.params.encode(source, cap=cap)
-    dist, histogram = _bfs_distances(gens, source_index, cap)
+    level_map, histogram = _bfs_levels(gens, source_index, cap)
+    distances = None
+    if want_distances:
+        # the narrowest signed dtype that holds every level code
+        distances = level_map.astype(np.result_type(level_map.dtype, np.int8))
+        distances -= 1
     return BfsResult(
         diameter=len(histogram) - 1,
         histogram=histogram,
-        distances=dist if want_distances else None,
+        distances=distances,
     )
 
 
@@ -295,8 +324,14 @@ def verify_construction(
 
 # --- explicit exports -------------------------------------------------------
 
-#: arcs formatted per write, so an export's memory is bounded whatever the degree
-_EXPORT_ARCS = 1 << 16
+def check_export_cap(gens: GeneratorSet, cap: int = DEFAULT_STATE_CAP) -> None:
+    """Refuse an export whose vertex or arc count exceeds ``cap``."""
+    n = gens.params.order()
+    if n > cap:
+        raise CapExceededError(n, cap)
+    arcs = n * len(gens.elements)
+    if arcs > cap:
+        raise CapExceededError(arcs, cap, "arcs")
 
 
 def write_graph(
@@ -312,22 +347,21 @@ def write_graph(
     emits a digraph/graph block; ``adjacency`` emits one "u: n1 n2 ..."
     line per vertex with neighbors in generator order.  Output bytes are
     deterministic given the set and format.  Vertices are walked in index
-    order, a block of about ``_EXPORT_ARCS`` arcs at a time, so memory does
+    order, a block of about ``_BLOCK_ARCS`` arcs at a time, so memory does
     not grow with the graph.
     """
     if fmt not in EXPORT_FORMATS:
         raise ParameterError(
             f"unknown export format {fmt!r}; choose one of {', '.join(EXPORT_FORMATS)}"
         )
+    check_export_cap(gens, cap)
     params = gens.params
     n = params.order()
-    if n > cap:
-        raise CapExceededError(n, cap)
     kernel = _NeighborKernel(gens)
     base = kernel.base
     d = len(gens.elements)
     # vertices per block; a block never straddles two source shifts
-    block = max(1, _EXPORT_ARCS // max(d, 1))
+    block = max(1, _BLOCK_ARCS // max(d, 1))
     if fmt == "adjacency":
         line = "%d: " + " ".join(["%d"] * d) + "\n"
     elif fmt == "edge-list":
@@ -342,9 +376,10 @@ def write_graph(
     for su in range(params.r):
         for start in range(0, base, block):
             vec = np.arange(start, min(start + block, base), dtype=np.int64)
-            rows = np.empty((vec.size, d), dtype=np.int64)
-            for j, nb in enumerate(kernel.neighbors(su, vec)):
-                rows[:, j] = nb
+            # (vertex, generator position); the empty head covers d = 0
+            rows = np.concatenate(
+                [np.empty((0, vec.size), dtype=np.int64), *kernel.neighbors(su, vec)]
+            ).T
             u = vec + su * base
             if fmt == "adjacency":
                 fields = np.column_stack((u, rows))

@@ -7,7 +7,7 @@ orders survive consumers with double-width numbers; ``moore_ratio`` is an
 exact "p/q" string.
 
 Exit codes: 0 success, 1 invariant or diameter failure, 2 usage error,
-3 resource refusal (state cap exceeded).
+3 resource refusal (state or arc cap exceeded).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .bounds import compare, optimal_ell
-from .cayley import GraphReport, verify_construction, write_graph
+from .cayley import GraphReport, check_export_cap, verify_construction, write_graph
 from .generators import (
     GeneratorClassOverlapError,
     SpecParseError,
@@ -131,9 +131,7 @@ def _cmd_export(args) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     # refuse before the --out file is created or truncated
-    order = gens.params.order()
-    if order > args.cap:
-        raise CapExceededError(order, args.cap)
+    check_export_cap(gens, args.cap)
     with open(args.out, "w", encoding="ascii", newline="\n") as handle:
         write_graph(gens, args.graph_format, handle, cap=args.cap)
     return EXIT_OK
@@ -246,7 +244,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("spec")
     p_export.add_argument("graph_format", choices=("edge-list", "dot", "adjacency"))
     p_export.add_argument("--out", default=None)
-    p_export.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p_export.add_argument(
+        "--cap",
+        type=int,
+        default=DEFAULT_STATE_CAP,
+        help=f"cap on vertices and on arcs (default {DEFAULT_STATE_CAP})",
+    )
     p_export.set_defaults(func=_cmd_export)
 
     p_compare = sub.add_parser("compare", help="exact order comparison over a degree range")

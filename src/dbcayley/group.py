@@ -34,13 +34,13 @@ class ParameterError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """An operation would need more dense states than the cap allows."""
+    """An operation would need more dense states (or arcs) than the cap allows."""
 
-    def __init__(self, required: int, cap: int):
+    def __init__(self, required: int, cap: int, unit: str = "dense states"):
         self.required = required
         self.cap = cap
         super().__init__(
-            f"refusing: operation needs {required} dense states, which exceeds "
+            f"refusing: operation needs {required} {unit}, which exceeds "
             f"the cap of {cap}; pass an explicit higher cap to proceed"
         )
 
@@ -146,14 +146,9 @@ class GroupParams:
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in index order (exhaustive; intended for small groups)."""
-        for shift in range(self.r):
-            for value in range(self.t**self.r):
-                vec = []
-                v = value
-                for _ in range(self.r):
-                    v, digit = divmod(v, self.t)
-                    vec.append(digit)
-                yield GroupElement(tuple(vec), shift)
+        n = self.order()
+        for index in range(n):
+            yield self.decode(index, cap=n)
 
 
 def group_order(params: GroupParams) -> int:

@@ -2,6 +2,7 @@
 
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from dbcayley import (
     validate,
     verify_construction,
 )
-from dbcayley.cayley import _NeighborKernel
+from dbcayley.cayley import _BLOCK_ARCS, _NeighborKernel, check_export_cap
 
 SMALL_SPECS = [
     "thm1:k=4,d=3",
@@ -198,36 +199,74 @@ def test_distances_fill_the_last_level():
         assert all(type(count) is int for count in result.histogram)
 
 
+def scalar_distances(gens, source):
+    """Distances from ``source`` in index order, by a scalar BFS over ``neighbors``."""
+    params = gens.params
+    expected = {source: 0}
+    level = [source]
+    while level:
+        nxt = []
+        for g in level:
+            for h in neighbors(g, gens):
+                if h not in expected:
+                    expected[h] = expected[g] + 1
+                    nxt.append(h)
+        level = nxt
+    return [expected[params.decode(u)] for u in range(params.order())]
+
+
 def test_bfs_from_non_identity_source_matches_scalar_bfs():
     for spec_text in ["thm1:k=4,d=6", "thm2:k=4,d=9", "thm3:k=3,l=2,t=2,m=1"]:
         gens = build(parse_spec(spec_text))
         params = gens.params
         source = params.decode(params.order() - 5)
-        expected = {source: 0}
-        level = [source]
-        while level:
-            nxt = []
-            for g in level:
-                for h in neighbors(g, gens):
-                    if h not in expected:
-                        expected[h] = expected[g] + 1
-                        nxt.append(h)
-            level = nxt
         result = bfs_from(gens, source, want_distances=True)
-        assert [expected[params.decode(u)] for u in range(params.order())] == (
-            result.distances.tolist()
-        ), spec_text
+        assert scalar_distances(gens, source) == result.distances.tolist(), spec_text
+
+
+def test_bfs_past_level_254_widens_the_level_map():
+    # two generators, one adding 1 to the first digit and one shifting, give
+    # a diameter of 2 * 130 = 260: levels past 254 need more than one byte
+    params = GroupParams(130, 2)
+    gens = GeneratorSet(
+        params, (params.element([1, 0], 0), params.element([0, 0], 1)), directed=True
+    )
+    assert params.order() == 33_800
+    result = bfs_from_identity(gens, want_distances=True)
+    assert result.diameter == 260
+    assert result.distances.tolist() == scalar_distances(gens, params.identity())
+    assert np.bincount(result.distances).tolist() == result.histogram
+
+
+def test_bfs_peak_memory_follows_the_level_map_model():
+    # one byte of level map and one byte of transient frontier mask per vertex,
+    # three int64 copies of the largest expanded level (frontier, its
+    # per-shift segments, the next frontier) and chunk temporaries of at
+    # most 32 bytes per arc; the int32 distance array of old needed 4 bytes
+    # per vertex on its own
+    gens = build(parse_spec("thm3:k=3,l=7,t=2,m=3"))
+    n = gens.params.order()
+    tracemalloc.start()
+    try:
+        histogram = bfs_from_identity(gens).histogram
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert histogram == [1, 255, 41368, 2186600]
+    bound = 2 * n + 24 * max(histogram[:-1]) + 32 * _BLOCK_ARCS
+    assert peak <= bound, (peak / n, bound / n)
 
 
 # --- neighbour kernel ------------------------------------------------------------
 
 @st.composite
 def kernel_cases(draw):
-    """A group, a generator list and one block of vector parts.
+    """A group, a generator list, one block of vector parts and a chunk size.
 
     Generator vectors are dense (every digit random) or sparse (mostly zero
     digits); t > 0x7FFF, with r = 2, is the range where a narrow per-digit
-    dtype would overflow.
+    dtype would overflow.  The chunk size gives one row per chunk, a partial
+    set of rows or every row in one chunk.
     """
     t = draw(st.one_of(st.integers(2, 7), st.integers(0x8000, 0x10000)))
     r = 2 if t > 0x7FFF else draw(st.integers(2, 6))
@@ -240,19 +279,26 @@ def kernel_cases(draw):
         params, tuple(params.element(vec, sv) for vec, sv in elements), directed=True
     )
     block = draw(st.lists(st.integers(0, t**r - 1), max_size=40))
-    return gens, block
+    all_arcs = max(1, len(block) * len(elements))
+    chunk_arcs = draw(st.one_of(st.just(1), st.integers(1, all_arcs), st.just(all_arcs)))
+    return gens, block, chunk_arcs
 
 
-def _check_kernel(gens, block):
+def _check_kernel(gens, block, chunk_arcs=1 << 16):
     params = gens.params
     n = params.order()
     base = params.t**params.r
-    kernel = _NeighborKernel(gens)
+    kernel = _NeighborKernel(gens, chunk_arcs)
     vec = np.array(block, dtype=np.int64)
     for su in range(params.r):
-        produced = [nb.tolist() for nb in kernel.neighbors(su, vec)]
+        chunks = list(kernel.neighbors(su, vec))
+        assert all(chunk.shape[1] == len(block) for chunk in chunks)
+        # a chunk holds whole rows, as many as fit (at least one)
+        rows = max(1, chunk_arcs // max(len(block), 1))
+        assert [len(chunk) for chunk in chunks[:-1]] == [rows] * (len(chunks) - 1)
+        produced = np.concatenate([np.empty((0, len(block)), np.int64), *chunks])
         assert len(produced) == len(gens.elements)
-        for s, row in zip(gens.elements, produced):
+        for s, row in zip(gens.elements, produced.tolist()):
             expected = [
                 params.encode(params.mul(params.decode(su * base + x, cap=n), s), cap=n)
                 for x in block
@@ -276,8 +322,9 @@ def test_kernel_carries_every_digit(t, r):
         (params.element([t - 1] * r, 0), params.element(range(1, r + 1), r - 1)),
         directed=True,
     )
-    _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1])
-    _check_kernel(gens, [])
+    for chunk_arcs in (1, 4, 1 << 16):
+        _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1], chunk_arcs)
+        _check_kernel(gens, [], chunk_arcs)
 
 
 # --- verify_construction ----------------------------------------------------------
@@ -363,6 +410,14 @@ def test_export_respects_cap():
     gens = thm3_directed(3, 9, 2, 3)
     with pytest.raises(CapExceededError):
         export_graph(gens, "edge-list", cap=1000)
+
+
+def test_export_refuses_by_arcs():
+    gens = thm2_undirected(5, 21)  # 40,000 vertices, 840,000 arcs
+    check_export_cap(gens)
+    with pytest.raises(CapExceededError, match="arcs") as excinfo:
+        export_graph(gens, "edge-list", cap=100_000)
+    assert excinfo.value.required == 840_000
 
 
 def test_export_empty_set_vertices_only():

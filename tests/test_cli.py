@@ -179,6 +179,16 @@ def test_export_cap_refusal_leaves_out_file_alone(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_export_refuses_by_arcs_before_opening_out(tmp_path, capsys):
+    # cor:k=3 has 44,040,192 vertices, under the default cap, but
+    # 29,550,968,832 arcs
+    target = tmp_path / "graph.txt"
+    code, _, err = run_cli(capsys, "export", "cor:k=3", "edge-list", "--out", str(target))
+    assert code == EXIT_RESOURCE
+    assert "29550968832 arcs" in err
+    assert not target.exists()
+
+
 def test_compare_range_with_crossover(capsys):
     code, out, _ = run_cli(capsys, "compare", "4", "5", "10")
     assert code == EXIT_OK
