@@ -10,18 +10,29 @@ The BFS works on dense element indices with flat numpy arrays and is
 sequential and deterministic: per-level counts are set-based, so the
 histogram does not depend on any traversal order.  Memory is one level map
 of 1 byte per group element (a vertex's distance plus one, 0 while
-unseen; widened once should a level pass 254), a second byte per element
-while the next frontier is extracted, and the frontier's indices.
-Neighbours are computed in generator-major chunks of about 2**16 arcs, so
-transient arrays stay small whatever the degree.  Each level is counted by
-one pass over the level map, and each expanded level also costs frontier x
-degree neighbour evaluations and one pass to extract its frontier.  The
-search stops once every vertex is reached, so the last level, which holds
-most vertices, is counted but never expanded; dense distances are built
-only when asked for.  Above the state cap the search refuses instead of
-degrading.  Exports walk the vertices through the same neighbour kernel in
-chunks of the same size, so their memory does not grow with the graph, and
-refuse above the cap in vertices or in arcs.
+unseen; widened once should a level pass 254), plus transients.  The
+search stops once every vertex is reached, so the last level is counted
+but never expanded; dense distances are built only when asked for.
+
+Each level is found in one of two directions (Beamer et al., SC'12).  Top
+down, the level before it is extracted from the map (a second byte per
+element while that runs) and expanded: frontier x degree neighbour
+evaluations in generator-major chunks of about 2**16 arcs, then one pass
+over the map to count what was new.  Bottom up, chosen once 14 times the
+level before outnumbers the unseen vertices, every unseen vertex v looks
+for an in-neighbour v * s^-1 on that level, through a second kernel over
+the inverse generators, and stops at the first one found.  For each shift
+of v the generators are tried in order of how many frontier vertices sit
+at their in-neighbour's shift, so on the paper's families nearly every
+vertex is settled by its first evaluation.  Unseen vertices are taken from
+the map in windows of 2**16 entries within one shift, and the frontier is
+only counted per shift (one shift's mask, n/r bytes, at a time), so a
+bottom-up level costs about n + n/r bytes plus a fixed few int64 words per
+arc of a window; each unseen vertex is tested once, so its count is exact
+without a pass over the map.  Above the state cap the search refuses
+instead of degrading.  Exports walk the vertices through the same
+neighbour kernel in chunks of the same size, so their memory does not grow
+with the graph, and refuse above the cap in vertices or in arcs.
 """
 
 from __future__ import annotations
@@ -129,17 +140,20 @@ class _NeighborKernel:
         vectors = np.array([vec for vec, _ in gens.elements], dtype=np.int64)
         self.thresholds = t - vectors.reshape(d, r)
 
-    def neighbors(self, su: int, vec: np.ndarray):
+    def neighbors(self, su: int, vec: np.ndarray, which: np.ndarray | None = None):
         """Yield the neighbour indices of a block in generator-major chunks.
 
         ``vec`` holds the vector parts (index minus ``su * t**r``, int64) of
         vertices that all have shift ``su``.  Each chunk is a 2-D array of
-        about ``chunk_arcs`` arcs, one row per generator (in generator order)
-        aligned with ``vec``; a block of more than ``chunk_arcs`` vertices
-        gets one row per chunk.
+        about ``chunk_arcs`` arcs, one row per generator (in generator order,
+        or in the order of the generator positions ``which`` when given, for
+        just those generators) aligned with ``vec``; a block of more than
+        ``chunk_arcs`` vertices gets one row per chunk.
         """
         t = self.t
         addends = self.addends[su]
+        if which is not None:
+            addends = addends[which]
         rows = max(1, self.chunk_arcs // max(vec.size, 1))
         if t == 2:
             # the addend's shift offset lies above every vector bit
@@ -147,6 +161,8 @@ class _NeighborKernel:
                 yield vec ^ addends[g:g + rows, None]
             return
         thresholds = np.roll(self.thresholds, su, axis=1)
+        if which is not None:
+            thresholds = thresholds[which]
         digits: dict[int, np.ndarray] = {}
         for g in range(0, addends.size, rows):
             nb = vec + addends[g:g + rows, None]
@@ -161,54 +177,132 @@ class _NeighborKernel:
             yield nb
 
 
+#: a level is found bottom-up once the level before it, times this factor,
+#: outnumbers the vertices still unseen (Beamer et al., SC'12)
+_ALPHA = 14
+
+
+def _count_by_shift(level_map: np.ndarray, code: int, base: int) -> np.ndarray:
+    """Per-shift counts of the vertices at ``code``, one shift's mask at a time."""
+    return np.array(
+        [np.count_nonzero(level_map[lo:lo + base] == code)
+         for lo in range(0, level_map.size, base)],
+        dtype=np.int64,
+    )
+
+
+def _bottom_up_level(
+    level_map: np.ndarray, inverse: _NeighborKernel, by_shift: np.ndarray, code: int
+) -> np.ndarray:
+    """Mark ``code`` on every unseen vertex with an in-neighbour at ``code - 1``.
+
+    ``inverse`` is the kernel over the inverse generators, so its rows are
+    the in-neighbours v * s^-1 of v; ``by_shift`` holds the per-shift counts
+    of level ``code - 1``.  For each source shift the generators are tried
+    most populous in-neighbour shift first (stably; a shift without frontier
+    vertices is skipped), and a vertex drops out as soon as it is found.
+    Unseen vertices are taken from the level map in windows of
+    ``_BLOCK_ARCS`` entries, so temporaries stay small whatever the graph.
+    Returns the per-shift counts of the vertices found, each counted once.
+    """
+    base = inverse.base
+    found = np.zeros(by_shift.size, dtype=np.int64)
+    for su in range(by_shift.size):
+        # inverse generator j leads from shift su to shift addends[su, j] // base
+        density = by_shift[inverse.addends[su] // base]
+        order = np.argsort(-density, kind="stable")
+        order = order[density[order] > 0]
+        if order.size == 0:
+            continue
+        block = level_map[su * base:(su + 1) * base]
+        for lo in range(0, base, _BLOCK_ARCS):
+            vec = np.flatnonzero(block[lo:lo + _BLOCK_ARCS] == 0) + lo
+            g = 0
+            while vec.size and g < order.size:
+                rows = max(1, _BLOCK_ARCS // vec.size)
+                # at most rows generators fill exactly one chunk
+                (nb,) = inverse.neighbors(su, vec, order[g:g + rows])
+                g += rows
+                hit = (level_map[nb] == code - 1).any(axis=0)
+                fresh = vec[hit]
+                block[fresh] = code
+                found[su] += fresh.size
+                vec = vec[~hit]
+    return found
+
+
+def _top_down_level(
+    level_map: np.ndarray, kernel: _NeighborKernel, frontier: np.ndarray, code: int
+) -> None:
+    """Mark ``code`` on every unseen out-neighbour of the sorted ``frontier``."""
+    base = kernel.base
+    # indices are shift-major, so a sorted frontier splits into one
+    # contiguous segment per source shift
+    cuts = np.searchsorted(frontier, np.arange(level_map.size // base + 1) * base)
+    for su in range(cuts.size - 1):
+        seg = frontier[cuts[su]:cuts[su + 1]]
+        if seg.size == 0:
+            continue
+        for nb in kernel.neighbors(su, seg - su * base):
+            level_map[nb[level_map[nb] == 0]] = code
+
+
 def _bfs_levels(
     gens: GeneratorSet, source_index: int, cap: int
 ) -> tuple[np.ndarray, list[int]]:
     """Every vertex's level code, and the per-level counts.
 
-    Level-synchronous top-down BFS that stops as soon as every vertex is
-    reached: the last level is filled in while the one before it is
-    expanded, and is itself never expanded.  The returned map holds each
+    Level-synchronous BFS that stops as soon as every vertex is reached:
+    the last level is filled in while the one before it is expanded, and is
+    itself never expanded.  Each level is found top-down, by expanding the
+    level before it, or bottom-up (:func:`_bottom_up_level`) once that level
+    is large against the vertices still unseen.  The returned map holds each
     vertex's distance plus one.
     """
     params = gens.params
-    r = params.r
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
     kernel = _NeighborKernel(gens)
-    base = kernel.base
+    inverse = None
 
     # level + 1 per vertex, 0 while unseen; one byte until a pathological
     # (non-construction) set goes past level 254, then wide enough for n
     level_map = np.zeros(n, dtype=np.uint8)
     level_map[source_index] = 1
+    # the last level's indices (top-down) or its per-shift counts (bottom-up),
+    # each built only when the next step needs it
     frontier = np.array([source_index], dtype=np.int64)
+    by_shift = None
     histogram = [1]
     reached = 1
-    block_edges = np.arange(r + 1, dtype=np.int64) * base
     while reached < n:
         code = len(histogram) + 1
         if code > np.iinfo(level_map.dtype).max:
             level_map = level_map.astype(np.min_scalar_type(n))
-        # indices are shift-major, so a sorted frontier splits into one
-        # contiguous segment per source shift
-        cuts = np.searchsorted(frontier, block_edges)
-        for su in range(r):
-            seg = frontier[cuts[su]:cuts[su + 1]]
-            if seg.size == 0:
-                continue
-            for nb in kernel.neighbors(su, seg - su * base):
-                level_map[nb[level_map[nb] == 0]] = code
-        # a chunk can reach one vertex twice, so count the level once, here:
-        # every vertex seen so far is nonzero in the map
-        count = int(np.count_nonzero(level_map)) - reached
+        if _ALPHA * histogram[-1] > n - reached:
+            if inverse is None:
+                inverse = _NeighborKernel(GeneratorSet(
+                    params, tuple(params.inv(s) for s in gens.elements), gens.directed
+                ))
+            if by_shift is None:
+                by_shift = _count_by_shift(level_map, code - 1, kernel.base)
+            frontier = None
+            # every unseen vertex is tested once, so the count is exact
+            by_shift = _bottom_up_level(level_map, inverse, by_shift, code)
+            count = int(by_shift.sum())
+        else:
+            if frontier is None:
+                frontier = np.flatnonzero(level_map == code - 1)
+            _top_down_level(level_map, kernel, frontier, code)
+            frontier = by_shift = None
+            # a chunk can reach one vertex twice, so count the level once,
+            # here: every vertex seen so far is nonzero in the map
+            count = int(np.count_nonzero(level_map)) - reached
         if count == 0:
             raise DisconnectedGraphError(n - reached, histogram)
         histogram.append(count)
         reached += count
-        if reached < n:
-            frontier = np.flatnonzero(level_map == code)
     return level_map, histogram
 
 

@@ -28,6 +28,7 @@ from dbcayley import (
     validate,
     verify_construction,
 )
+from dbcayley import cayley
 from dbcayley.cayley import _BLOCK_ARCS, _NeighborKernel, check_export_cap
 
 SMALL_SPECS = [
@@ -199,9 +200,8 @@ def test_distances_fill_the_last_level():
         assert all(type(count) is int for count in result.histogram)
 
 
-def scalar_distances(gens, source):
-    """Distances from ``source`` in index order, by a scalar BFS over ``neighbors``."""
-    params = gens.params
+def scalar_levels(gens, source):
+    """Distance of every vertex reachable from ``source``, by a scalar BFS over ``neighbors``."""
     expected = {source: 0}
     level = [source]
     while level:
@@ -212,6 +212,13 @@ def scalar_distances(gens, source):
                     expected[h] = expected[g] + 1
                     nxt.append(h)
         level = nxt
+    return expected
+
+
+def scalar_distances(gens, source):
+    """Distances from ``source`` in index order, by a scalar BFS over ``neighbors``."""
+    params = gens.params
+    expected = scalar_levels(gens, source)
     return [expected[params.decode(u)] for u in range(params.order())]
 
 
@@ -257,16 +264,113 @@ def test_bfs_peak_memory_follows_the_level_map_model():
     assert peak <= bound, (peak / n, bound / n)
 
 
+@st.composite
+def bfs_cases(draw):
+    """A small group, a directed generator list (generating or not) and a source."""
+    t = draw(st.integers(2, 5))
+    r = draw(st.integers(2, 4))
+    params = GroupParams(t, r)
+    element = st.builds(
+        params.element,
+        st.lists(st.integers(0, t - 1), min_size=r, max_size=r),
+        st.integers(0, r - 1),
+    )
+    gens = GeneratorSet(params, tuple(draw(st.lists(element, max_size=6))), directed=True)
+    source = params.decode(draw(st.integers(0, params.order() - 1)))
+    return gens, source
+
+
+@settings(max_examples=100, deadline=None)
+@given(bfs_cases())
+def test_bfs_matches_scalar_bfs_in_both_directions(case):
+    # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
+    # the first ones of the larger groups top-down
+    gens, source = case
+    params = gens.params
+    n = params.order()
+    levels = scalar_levels(gens, source)
+    histogram = np.bincount(list(levels.values())).tolist()
+    if len(levels) == n:
+        result = bfs_from(gens, source, want_distances=True)
+        assert result.distances.tolist() == [levels[params.decode(u)] for u in range(n)]
+        assert result.histogram == histogram
+    else:
+        with pytest.raises(DisconnectedGraphError) as excinfo:
+            bfs_from(gens, source)
+        assert excinfo.value.unreachable == n - len(levels)
+        assert excinfo.value.histogram == histogram
+
+
+def test_bottom_up_runs_only_where_the_frontier_is_large(monkeypatch):
+    # the kernel is given generator positions only by a bottom-up step
+    positions = []
+    kernel_neighbors = _NeighborKernel.neighbors
+
+    def spy(self, su, vec, which=None):
+        if which is not None:
+            positions.append(which)
+        return kernel_neighbors(self, su, vec, which)
+
+    monkeypatch.setattr(_NeighborKernel, "neighbors", spy)
+    for spec_text, histogram, bottom_up in [
+        ("thm1:k=4,d=10", [1, 10, 96, 864, 1216], True),
+        # the last step: 15,876 frontier vertices, 21,141 unseen
+        ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141], True),
+        ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600], False),
+    ]:
+        positions.clear()
+        result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
+        assert result.histogram == histogram, spec_text
+        assert np.bincount(result.distances).tolist() == histogram, spec_text
+        assert bool(positions) == bottom_up, spec_text
+
+
+def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
+    # a bottom-up level holds the level map (1 byte per vertex), one shift's
+    # mask while the frontier is counted per shift (n / r bytes), and window
+    # temporaries: the window's unseen indices, a chunk of neighbour indices,
+    # the cached digit and its transient quotient (thm1's inverse generators
+    # have at most one nonzero digit), four int64 words per arc of a
+    # _BLOCK_ARCS window, plus byte masks, within a fifth word
+    gens = build(parse_spec("thm1:k=4,d=70"))
+    n, r = gens.params.order(), gens.params.r
+    peaks = []
+    count_by_shift = cayley._count_by_shift
+    bottom_up_level = cayley._bottom_up_level
+
+    def counted(*args):
+        tracemalloc.reset_peak()
+        return count_by_shift(*args)
+
+    def stepped(*args):
+        found = bottom_up_level(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return found
+
+    monkeypatch.setattr(cayley, "_count_by_shift", counted)
+    monkeypatch.setattr(cayley, "_bottom_up_level", stepped)
+    tracemalloc.start()
+    try:
+        histogram = bfs_from_identity(gens).histogram
+    finally:
+        tracemalloc.stop()
+    assert histogram == [1, 70, 4896, 337824, 642736]
+    assert len(peaks) == 1  # the last level, found bottom-up after a top-down one
+    bound = n + n // r + 5 * 8 * _BLOCK_ARCS
+    assert peaks[0] <= bound, (peaks[0], bound)
+
+
 # --- neighbour kernel ------------------------------------------------------------
 
 @st.composite
 def kernel_cases(draw):
-    """A group, a generator list, one block of vector parts and a chunk size.
+    """A group, a generator list, one block, a chunk size and generator positions.
 
     Generator vectors are dense (every digit random) or sparse (mostly zero
     digits); t > 0x7FFF, with r = 2, is the range where a narrow per-digit
     dtype would overflow.  The chunk size gives one row per chunk, a partial
-    set of rows or every row in one chunk.
+    set of rows or every row in one chunk.  The positions are None (every
+    generator, in order) or a random subset of them in a random order.
     """
     t = draw(st.one_of(st.integers(2, 7), st.integers(0x8000, 0x10000)))
     r = 2 if t > 0x7FFF else draw(st.integers(2, 6))
@@ -281,24 +385,34 @@ def kernel_cases(draw):
     block = draw(st.lists(st.integers(0, t**r - 1), max_size=40))
     all_arcs = max(1, len(block) * len(elements))
     chunk_arcs = draw(st.one_of(st.just(1), st.integers(1, all_arcs), st.just(all_arcs)))
-    return gens, block, chunk_arcs
+    which = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(elements))))
+        which = order[:draw(st.integers(0, len(order)))]
+    return gens, block, chunk_arcs, which
 
 
-def _check_kernel(gens, block, chunk_arcs=1 << 16):
+def _check_kernel(gens, block, chunk_arcs=1 << 16, which=None):
     params = gens.params
     n = params.order()
     base = params.t**params.r
     kernel = _NeighborKernel(gens, chunk_arcs)
     vec = np.array(block, dtype=np.int64)
+    if which is None:
+        expected_gens = gens.elements
+        positions = None
+    else:
+        expected_gens = [gens.elements[j] for j in which]
+        positions = np.array(which, dtype=np.int64)
     for su in range(params.r):
-        chunks = list(kernel.neighbors(su, vec))
+        chunks = list(kernel.neighbors(su, vec, positions))
         assert all(chunk.shape[1] == len(block) for chunk in chunks)
         # a chunk holds whole rows, as many as fit (at least one)
         rows = max(1, chunk_arcs // max(len(block), 1))
         assert [len(chunk) for chunk in chunks[:-1]] == [rows] * (len(chunks) - 1)
         produced = np.concatenate([np.empty((0, len(block)), np.int64), *chunks])
-        assert len(produced) == len(gens.elements)
-        for s, row in zip(gens.elements, produced.tolist()):
+        assert len(produced) == len(expected_gens)
+        for s, row in zip(expected_gens, produced.tolist()):
             expected = [
                 params.encode(params.mul(params.decode(su * base + x, cap=n), s), cap=n)
                 for x in block
@@ -324,6 +438,7 @@ def test_kernel_carries_every_digit(t, r):
     )
     for chunk_arcs in (1, 4, 1 << 16):
         _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1], chunk_arcs)
+        _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1], chunk_arcs, [1, 0])
         _check_kernel(gens, [], chunk_arcs)
 
 
@@ -498,3 +613,33 @@ def test_export_reimport_preserves_histogram():
         for value in dist:
             histogram[value] += 1
         assert histogram == bfs_from_identity(gens).histogram
+
+
+@pytest.mark.parametrize("spec_text", [
+    "thm1:k=4,d=5",
+    "thm1:k=5,d=5",
+    "thm2:k=4,d=9",
+    "thm2:k=5,d=8",
+    "thm3:k=3,l=2,t=2,m=1",
+    "thm3:k=2,l=2,t=3,m=1",
+    "thm4:k=3,l=2,t=2,m=1",
+    "thm4:k=2,l=3,t=2,m=1",
+])
+def test_networkx_oracle_agrees(spec_text):
+    # a second, independent oracle on the exported graph; the last level of
+    # each of these small graphs is found bottom-up
+    nx = pytest.importorskip("networkx")
+    gens = build(parse_spec(spec_text))
+    n = gens.params.order()
+    graph = nx.DiGraph() if gens.directed else nx.Graph()
+    graph.add_nodes_from(range(n))
+    lines = export_graph(gens, "edge-list").decode("ascii").splitlines()
+    graph.add_edges_from(tuple(map(int, line.split())) for line in lines)
+    result = bfs_from_identity(gens)
+    distances = nx.single_source_shortest_path_length(graph, 0)
+    assert np.bincount(list(distances.values())).tolist() == result.histogram
+    if gens.directed:
+        diameter = max(nx.eccentricity(graph).values())
+    else:
+        diameter = nx.diameter(graph)
+    assert diameter == result.diameter
