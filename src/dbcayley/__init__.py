@@ -11,7 +11,6 @@ from .bounds import (
     OptimalEll,
     compare,
     competitor_orders,
-    construction_order,
     corollary_certificate,
     corollary_lower_bound,
     debruijn_order,
@@ -54,7 +53,6 @@ from .group import (
     GroupElement,
     GroupParams,
     ParameterError,
-    group_order,
     shift_alpha,
 )
 
@@ -83,14 +81,12 @@ __all__ = [
     "build",
     "compare",
     "competitor_orders",
-    "construction_order",
     "corollary_certificate",
     "corollary_lower_bound",
     "corollary_params",
     "debruijn_order",
     "exact_log2_le",
     "export_graph",
-    "group_order",
     "log2_enclosure",
     "moore_bound",
     "neighbors",

@@ -1,4 +1,4 @@
-"""Exact order/degree formulas, Moore bounds and parameter optimisation.
+"""Competitor orders, Moore bounds, corollary certificates, block lengths.
 
 Every value that enters a verdict is an exact integer or Fraction.  The
 handful of quantities that involve binary logarithms (the corollary
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .generators import ConstructionSpec, CorollarySelection, corollary_params
+from .generators import ConstructionSpec, corollary_params
 from .group import ParameterError
 
 HOLDS = "holds"
@@ -82,17 +82,6 @@ def competitor_orders(d: int, k: int, directed: bool) -> dict[str, int]:
         orders["debruijn"] = baseline
     orders["moore"] = moore_bound(d, k, directed)
     return orders
-
-
-def construction_order(spec: ConstructionSpec) -> int:
-    """Closed-form order of a construction; equals its group order."""
-    k = spec.k
-    if spec.kind == "thm1":
-        return (k - 1) * (spec.d - k + 3) ** (k - 1)
-    if spec.kind == "thm2":
-        return (k - 1) * ((spec.d - k) // 2 + 2) ** (k - 1)
-    r = (k - 1) * spec.ell + spec.m
-    return r * spec.t**r
 
 
 # --- rational enclosures for binary logarithms ------------------------------
@@ -171,10 +160,6 @@ def log2_enclosure(x: Fraction | int, frac_bits: int = 48) -> tuple[Fraction, Fr
     return exponent + frac_lo, exponent + frac_lo + width
 
 
-def _interval_log2(lo: Fraction, hi: Fraction, frac_bits: int = 48):
-    return log2_enclosure(lo, frac_bits)[0], log2_enclosure(hi, frac_bits)[1]
-
-
 def _interval_pow(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
     if lo >= 0 or k % 2 == 1:
         return lo**k, hi**k
@@ -195,6 +180,15 @@ def _compare_ge(lo: Fraction, hi: Fraction, threshold: Fraction, strict: bool = 
 
 # --- corollary lower bounds and certificates --------------------------------
 
+def _undirected_log_terms(k: int, d: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of k*log2(d/2) - log2(log2(d)) - log2(8k^2)."""
+    half_lo, half_hi = log2_enclosure(Fraction(d, 2))
+    dlog_lo, dlog_hi = log2_enclosure(Fraction(d))
+    loglog_lo, loglog_hi = log2_enclosure(dlog_lo)[0], log2_enclosure(dlog_hi)[1]
+    const_lo, const_hi = log2_enclosure(Fraction(8 * k * k))
+    return k * half_lo - loglog_hi - const_hi, k * half_hi - loglog_lo - const_lo
+
+
 def corollary_lower_bound(
     k: int, d: int, directed: bool
 ) -> tuple[Fraction, Fraction]:
@@ -211,14 +205,9 @@ def corollary_lower_bound(
         return value, value
     if d < 3:
         raise ParameterError(f"undirected corollary bound needs d >= 3, got d={d}")
-    half_lo, half_hi = log2_enclosure(Fraction(d, 2))
-    dlog_lo, dlog_hi = log2_enclosure(Fraction(d))
-    loglog_lo, loglog_hi = _interval_log2(dlog_lo, dlog_hi)
-    const_lo, const_hi = log2_enclosure(Fraction(8 * k * k))
-    inner_lo = d + k * half_lo - loglog_hi - const_hi
-    inner_hi = d + k * half_hi - loglog_lo - const_lo
+    terms_lo, terms_hi = _undirected_log_terms(k, d)
     coeff = Fraction(k, 2 * k + 4)
-    plo, phi = _interval_pow(coeff * inner_lo, coeff * inner_hi, k)
+    plo, phi = _interval_pow(coeff * (d + terms_lo), coeff * (d + terms_hi), k)
     return plo / k, phi / k
 
 
@@ -250,7 +239,7 @@ class CorollaryCertificate:
 
 def corollary_certificate(k: int, ell: int | str = "auto") -> CorollaryCertificate:
     """Evaluate the corollary inequality chain at concrete (k, ell)."""
-    sel: CorollarySelection = corollary_params(k, ell)
+    sel = corollary_params(k, ell)
     k, ell, r, m = sel.k, sel.ell, sel.r, sel.m
     kl = k * ell
     k2l = k * k * ell
@@ -292,13 +281,7 @@ def corollary_certificate(k: int, ell: int | str = "auto") -> CorollaryCertifica
         d_plus[0] - sel.d_directed, d_plus[1] - sel.d_directed, Fraction(0)
     )
     # undirected: r exceeds k*log2(d/2) - log2(log2(d)) - log2(8k^2)
-    d_und = sel.d_undirected
-    half_lo, half_hi = log2_enclosure(Fraction(d_und, 2))
-    dlog_lo, dlog_hi = log2_enclosure(Fraction(d_und))
-    loglog_lo, loglog_hi = _interval_log2(dlog_lo, dlog_hi)
-    const_lo, const_hi = log2_enclosure(Fraction(8 * k * k))
-    rhs_lo = k * half_lo - loglog_hi - const_hi
-    rhs_hi = k * half_hi - loglog_lo - const_lo
+    rhs_lo, rhs_hi = _undirected_log_terms(k, sel.d_undirected)
     checks["undirected_r_lower_bound"] = _compare_ge(
         r - rhs_hi, r - rhs_lo, Fraction(0), strict=True
     )
@@ -310,7 +293,7 @@ def corollary_certificate(k: int, ell: int | str = "auto") -> CorollaryCertifica
         m=m,
         d_directed=sel.d_directed,
         d_undirected=sel.d_undirected,
-        order=sel.order(),
+        order=sel.thm3_spec().group_params().order(),
         theta=theta,
         n0=n0_int,
         d_plus=d_plus,
@@ -348,7 +331,7 @@ def optimal_ell(k: int, t: int, r: int) -> OptimalEll:
     for ell in range(2, r + 1):
         m = r - (k - 1) * ell
         if 0 < m < ell:
-            degree = t**ell + (r - 1) * t**m - 1
+            degree = ConstructionSpec("thm3", k=k, ell=ell, t=t, m=m).expected_degree()
             candidates.append((ell, m, degree))
     if not candidates:
         raise ParameterError(f"no admissible ell for k={k}, t={t}, r={r}")
@@ -385,12 +368,7 @@ def compare(d: int, k: int, directed: bool = True) -> BoundRow:
     our_name = "thm1" if directed else "thm2"
     our_order: int | None = None
     try:
-        spec = (
-            ConstructionSpec("thm1", k=k, d=d)
-            if directed
-            else ConstructionSpec("thm2", k=k, d=d)
-        )
-        our_order = construction_order(spec)
+        our_order = ConstructionSpec(our_name, k=k, d=d).group_params().order()
     except ParameterError:
         pass
     competitors = competitor_orders(d, k, directed)

@@ -13,13 +13,20 @@ Exit codes: 0 success, 1 invariant or diameter failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from fractions import Fraction
 
 from .bounds import compare, optimal_ell
-from .cayley import GraphReport, check_export_cap, verify_construction, write_graph
+from .cayley import (
+    EXPORT_FORMATS,
+    GraphReport,
+    check_export_cap,
+    verify_construction,
+    write_graph,
+)
 from .generators import (
     GeneratorClassOverlapError,
     SpecParseError,
@@ -207,6 +214,8 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+# built once per process: one process may call main many times
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dbcayley",
@@ -242,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write an explicit graph encoding")
     p_export.add_argument("spec")
-    p_export.add_argument("graph_format", choices=("edge-list", "dot", "adjacency"))
+    p_export.add_argument("graph_format", choices=EXPORT_FORMATS)
     p_export.add_argument("--out", default=None)
     p_export.add_argument(
         "--cap",
@@ -271,8 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .group import GroupElement, GroupParams, ParameterError, shift_alpha
+from .group import GroupElement, GroupParams, ParameterError
 
 _KINDS = ("thm1", "thm2", "thm3", "thm4")
 
@@ -117,8 +117,8 @@ class ConstructionSpec:
         return GroupParams(t=self.t, r=(self.k - 1) * self.ell + self.m)
 
     def expected_degree(self) -> int:
-        r = self.group_params().r
-        t = self.group_params().t
+        params = self.group_params()
+        t, r = params.t, params.r
         if self.kind == "thm1":
             return t + r - 2
         if self.kind == "thm2":
@@ -197,7 +197,7 @@ def validate(gens: GeneratorSet) -> ValidationReport:
                 missing.append(el)
         symmetric = not missing
 
-    expected = gens.expected_size if gens.expected_size is not None else len(gens.elements)
+    expected = gens.expected_size
     size_ok = len(gens.elements) == expected
 
     problems = []
@@ -225,12 +225,16 @@ def validate(gens: GeneratorSet) -> ValidationReport:
     )
 
 
-def _short_vector(value: int, t: int, width: int, r: int) -> tuple[int, ...]:
-    """Vector whose first ``width`` coordinates are the base-t digits of value."""
-    vec = [0] * r
-    for i in range(width):
-        value, vec[i] = divmod(value, t)
-    return tuple(vec)
+def _digit_block(
+    params: GroupParams, width: int, shift: int, start: int = 0
+) -> list[GroupElement]:
+    """Every element of the given shift whose vector's digits lie in the
+    first ``width`` coordinates, in index order from vector index ``start``."""
+    n = params.order()
+    return [
+        params.element(params.decode(v, cap=n).vector, shift)
+        for v in range(start, params.t**width)
+    ]
 
 
 def thm1_directed(k: int, d: int) -> GeneratorSet:
@@ -265,17 +269,11 @@ def thm3_directed(k: int, ell: int, t: int, m: int) -> GeneratorSet:
     """Directed long/short block set of t**ell + (r-1)*t**m - 1 generators."""
     spec = ConstructionSpec("thm3", k=k, ell=ell, t=t, m=m)
     params = spec.group_params()
-    r = params.r
-    elems = [
-        params.element(_short_vector(v, t, ell, r), ell) for v in range(t**ell)
-    ]
-    for s in range(r):
-        if s == ell:
-            continue
-        for v in range(t**m):
-            if s == 0 and v == 0:
-                continue  # identity is excluded
-            elems.append(params.element(_short_vector(v, t, m, r), s))
+    elems = _digit_block(params, ell, ell)
+    for s in range(params.r):
+        if s != ell:
+            # at shift 0 the block starts at 1: the identity is excluded
+            elems += _digit_block(params, m, s, start=1 if s == 0 else 0)
     return GeneratorSet(params, tuple(elems), directed=True, spec=spec,
                         expected_size=spec.expected_degree())
 
@@ -295,16 +293,14 @@ def thm4_classes(
     spec = ConstructionSpec("thm4", k=k, ell=ell, t=t, m=m)
     params = spec.group_params()
     r = params.r
-    longs = [params.element(_short_vector(v, t, ell, r), ell) for v in range(t**ell)]
+    longs = _digit_block(params, ell, ell)
     long_invs = [params.inv(el) for el in longs]
-    shorts = []
-    for s in range(r):
-        if s in (0, ell):
-            continue
-        for v in range(1, t**m):
-            shorts.append(params.element(_short_vector(v, t, m, r), s))
+    shorts = [
+        el for s in range(r) if s not in (0, ell)
+        for el in _digit_block(params, m, s, start=1)
+    ]
     short_invs = [params.inv(el) for el in shorts]
-    zero_shift = [params.element(_short_vector(v, t, m, r), 0) for v in range(1, t**m)]
+    zero_shift = _digit_block(params, m, 0, start=1)
     excluded = {0, ell, (-ell) % r}
     pure_shifts = [
         params.element([0] * r, s) for s in range(r) if s not in excluded
@@ -363,9 +359,6 @@ class CorollarySelection:
     d_directed: int
     d_undirected: int
 
-    def order(self) -> int:
-        return self.r * self.t**self.r
-
     def thm3_spec(self) -> ConstructionSpec:
         return ConstructionSpec("thm3", k=self.k, ell=self.ell, t=self.t, m=self.m)
 
@@ -414,8 +407,8 @@ def corollary_params(k: int, ell: int | str = "auto") -> CorollarySelection:
             f"selected m={m} falls outside 0 < m < ell={ell} (r={r}); "
             f"parameters are reported, not adjusted"
         )
-    d_dir = 2**ell + (r - 1) * 2**m - 1
-    d_und = 2 ** (ell + 1) + (2 * r - 3) * 2**m - r
+    d_dir = ConstructionSpec("thm3", k=k, ell=ell, t=2, m=m).expected_degree()
+    d_und = ConstructionSpec("thm4", k=k, ell=ell, t=2, m=m).expected_degree()
     return CorollarySelection(k=k, ell=ell, t=2, r=r, m=m,
                               d_directed=d_dir, d_undirected=d_und)
 

@@ -149,8 +149,3 @@ class GroupParams:
         n = self.order()
         for index in range(n):
             yield self.decode(index, cap=n)
-
-
-def group_order(params: GroupParams) -> int:
-    """Exact order r * t**r of the group with the given parameters."""
-    return params.order()

@@ -232,11 +232,11 @@ def test_criterion_08_corollary_certificate():
     started = time.time()
     sel = corollary_params(3)
     assert (sel.ell, sel.r, sel.m, sel.d_directed) == (9, 21, 3, 671)
-    assert sel.order() == 21 * 2**21 == 44_040_192
+    assert sel.thm3_spec().group_params().order() == 21 * 2**21 == 44_040_192
 
     lo, hi = corollary_lower_bound(3, 671, True)
     assert lo == hi == Fraction(21_849_440_256, 1000)
-    assert sel.order() >= hi
+    assert sel.thm3_spec().group_params().order() >= hi
 
     cert = corollary_certificate(3)
     theta_lo, theta_hi = cert.theta

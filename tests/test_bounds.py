@@ -10,7 +10,6 @@ from dbcayley import (
     ParameterError,
     compare,
     competitor_orders,
-    construction_order,
     corollary_certificate,
     corollary_lower_bound,
     corollary_params,
@@ -79,23 +78,12 @@ def test_debruijn_baseline():
 # --- construction orders -----------------------------------------------------------
 
 def test_construction_order_closed_forms():
-    assert construction_order(ConstructionSpec("thm1", k=4, d=8)) == 3 * 7**3 == 1029
-    assert construction_order(ConstructionSpec("thm2", k=20, d=100)) == 19 * 42**19
-    assert construction_order(
-        ConstructionSpec("thm3", k=3, ell=9, t=2, m=3)
-    ) == 21 * 2**21 == 44_040_192
+    def order(spec):
+        return spec.group_params().order()
 
-
-def test_construction_order_matches_group_order():
-    specs = [
-        ConstructionSpec("thm1", k=4, d=3),
-        ConstructionSpec("thm1", k=6, d=11),
-        ConstructionSpec("thm2", k=5, d=9),
-        ConstructionSpec("thm3", k=3, ell=2, t=2, m=1),
-        ConstructionSpec("thm4", k=2, ell=2, t=3, m=1),
-    ]
-    for spec in specs:
-        assert construction_order(spec) == spec.group_params().order()
+    assert order(ConstructionSpec("thm1", k=4, d=8)) == 3 * 7**3 == 1029
+    assert order(ConstructionSpec("thm2", k=20, d=100)) == 19 * 42**19
+    assert order(ConstructionSpec("thm3", k=3, ell=9, t=2, m=3)) == 21 * 2**21 == 44_040_192
 
 
 # --- log2 machinery ------------------------------------------------------------------
@@ -181,7 +169,7 @@ def test_certificate_chain_holds_for_auto_ell(k):
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_order_meets_lower_bounds(k):
     sel = corollary_params(k)
-    order = sel.order()
+    order = sel.thm3_spec().group_params().order()
     _, hi = corollary_lower_bound(k, sel.d_directed, True)
     assert order >= hi
     _, hi_und = corollary_lower_bound(k, sel.d_undirected, False)

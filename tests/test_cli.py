@@ -276,3 +276,23 @@ def test_warn_only_downgrades_failure(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "thm1:k=4,d=3", "--warn-only")
     assert code == EXIT_OK
     assert "synthetic discrepancy" in err
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # main runs many times in one process (a benchmark pass calls it once
+    # per instance), so it must not rebuild the argparse tree each call
+    import argparse
+
+    run_cli(capsys, "build", "thm1:k=4,d=3")
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    code, out, _ = run_cli(capsys, "build", "thm1:k=4,d=3")
+    assert code == EXIT_OK
+    assert json.loads(out)["degree"] == 3
+    assert built == []

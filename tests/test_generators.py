@@ -1,5 +1,7 @@
 """Generator-set builders: sizes, symmetry, class structure, spec strings."""
 
+import hashlib
+
 import pytest
 
 from dbcayley import (
@@ -197,6 +199,22 @@ def test_thm4_detects_class_overlap_for_wide_short_block():
         thm4_undirected(2, 3, 2, 2)
 
 
+@pytest.mark.parametrize("text,degree,first,digest", [
+    ("thm3:k=2,l=3,t=3,m=2", 62, [729, 730, 731, 732],
+     "e192eb389a99de07164e983a8bbb3e1a0a5f33330d9cdabd31ab1a23b562fc04"),
+    ("thm4:k=3,l=3,t=3,m=1", 80, [6561, 6562, 6563, 6564],
+     "0ee7d018bb6543fbb5b469d4d46c0aec8dbcb54a6143cf4e63d8eca50c030e85"),
+])
+def test_block_generator_order_is_pinned(text, degree, first, digest):
+    # exports list arcs in generator order, so the order itself is part of
+    # the output contract; t = 3 with a short block wider than one digit
+    gens = build(parse_spec(text))
+    codes = [gens.params.encode(s) for s in gens.elements]
+    assert len(codes) == degree
+    assert codes[:4] == first
+    assert hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest() == digest
+
+
 # --- validation reporting -------------------------------------------------------
 
 def test_validate_flags_injected_identity():
@@ -232,12 +250,12 @@ def test_corollary_auto_selection_k3():
     assert (sel.ell, sel.r, sel.m) == (9, 21, 3)
     assert sel.t == 2
     assert sel.d_directed == 512 + 160 - 1 == 671
-    assert sel.order() == 21 * 2**21 == 44_040_192
+    assert sel.thm3_spec().group_params().order() == 21 * 2**21 == 44_040_192
 
 
 def test_corollary_explicit_ell():
     sel = corollary_params(3, 9)
-    assert sel.order() == 44_040_192
+    assert sel.thm3_spec().group_params().order() == 44_040_192
 
 
 def test_corollary_rejects_bad_ell():

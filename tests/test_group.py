@@ -9,7 +9,6 @@ from dbcayley import (
     GroupElement,
     GroupParams,
     ParameterError,
-    group_order,
     shift_alpha,
 )
 
@@ -32,7 +31,6 @@ def test_order_formula():
     assert GroupParams(2, 3).order() == 24
     assert GroupParams(3, 3).order() == 81
     assert GroupParams(2, 21).order() == 44_040_192
-    assert group_order(GroupParams(2, 21)) == 21 * 2**21
 
 
 # --- the cyclic shift automorphism -------------------------------------------
