@@ -14,25 +14,26 @@ unseen; widened once should a level pass 254), plus transients.  The
 search stops once every vertex is reached, so the last level is counted
 but never expanded; dense distances are built only when asked for.
 
-Each level is found in one of two directions (Beamer et al., SC'12).  Top
-down, the level before it is extracted from the map (a second byte per
-element while that runs) and expanded: frontier x degree neighbour
-evaluations in generator-major chunks of about 2**16 arcs, then one pass
-over the map to count what was new.  Bottom up, chosen once 14 times the
-level before outnumbers the unseen vertices, every unseen vertex v looks
-for an in-neighbour v * s^-1 on that level, through a second kernel over
-the inverse generators, and stops at the first one found.  For each shift
-of v the generators are tried in order of how many frontier vertices sit
-at their in-neighbour's shift, so on the paper's families nearly every
-vertex is settled by its first evaluation.  Unseen vertices are taken from
-the map in windows of 2**16 entries within one shift, and the frontier is
-only counted per shift (one shift's mask, n/r bytes, at a time), so a
-bottom-up level costs about n + n/r bytes plus a fixed few int64 words per
-arc of a window; each unseen vertex is tested once, so its count is exact
-without a pass over the map.  Above the state cap the search refuses
-instead of degrading.  Exports walk the vertices through the same
-neighbour kernel in chunks of the same size, so their memory does not grow
-with the graph, and refuse above the cap in vertices or in arcs.
+Each level is found in one of two directions (Beamer et al., SC'12), and
+both read the map the same way: one shift at a time, in windows of 2**16
+entries, taking the vector parts of the vertices at one code.  Top down,
+the level before it is read window by window and expanded: frontier x
+degree neighbour evaluations in generator-major chunks of about 2**16
+arcs.  Bottom up, chosen once 14 times the level before outnumbers the
+unseen vertices, every unseen vertex v, read window by window, looks for
+an in-neighbour v * s^-1 on that level, through a second kernel over the
+inverse generators, and stops at the first one found.  For each shift of
+v the generators are tried in order of how many frontier vertices sit at
+their in-neighbour's shift (counted with one shift's mask, n/r bytes, at
+a time), so on the paper's families nearly every vertex is settled by its
+first evaluation.  Either way a level is counted by one pass over the
+map, and the map is the only state kept between levels, so the search
+costs n bytes, n + n/r while a bottom-up level counts its frontier, plus
+a fixed few int64 words per arc of a window.  Above the state cap the
+search refuses instead of degrading.  Exports walk the vertices through
+the same neighbour kernel in chunks of the same size, so their memory
+does not grow with the graph, and refuse above the cap in vertices or in
+arcs.
 """
 
 from __future__ import annotations
@@ -135,10 +136,11 @@ class _NeighborKernel:
         low = t ** (r - su)
         #: (r, d): the dense index of (alpha^su(v); su + sv) per source shift
         self.addends = (codes % low) * (t**su) + codes // low + (su + shifts) % r * self.base
-        #: (d, r): carry threshold t - a_i per unrotated digit; a zero digit
-        #: gives t, which no digit reaches
+        #: (d, 2r): carry threshold t - a_i per unrotated digit, twice over,
+        #: so columns r - su .. 2r - su are the thresholds rotated by su; a
+        #: zero digit gives t, which no digit reaches
         vectors = np.array([vec for vec, _ in gens.elements], dtype=np.int64)
-        self.thresholds = t - vectors.reshape(d, r)
+        self.thresholds = np.tile(t - vectors.reshape(d, r), 2)
 
     def neighbors(self, su: int, vec: np.ndarray, which: np.ndarray | None = None):
         """Yield the neighbour indices of a block in generator-major chunks.
@@ -160,7 +162,8 @@ class _NeighborKernel:
             for g in range(0, addends.size, rows):
                 yield vec ^ addends[g:g + rows, None]
             return
-        thresholds = np.roll(self.thresholds, su, axis=1)
+        r = self.thresholds.shape[1] // 2
+        thresholds = self.thresholds[:, r - su:2 * r - su]
         if which is not None:
             thresholds = thresholds[which]
         digits: dict[int, np.ndarray] = {}
@@ -191,22 +194,32 @@ def _count_by_shift(level_map: np.ndarray, code: int, base: int) -> np.ndarray:
     )
 
 
-def _bottom_up_level(
-    level_map: np.ndarray, inverse: _NeighborKernel, by_shift: np.ndarray, code: int
-) -> np.ndarray:
+def _windows(level_map: np.ndarray, su: int, code: int, base: int):
+    """Yield the vector parts of shift ``su``'s vertices at ``code``.
+
+    The shift's map entries are read ``_BLOCK_ARCS`` at a time, so no
+    temporary grows with the graph; empty windows are skipped.  Entries of
+    a window may be rewritten before the next one is read.
+    """
+    block = level_map[su * base:(su + 1) * base]
+    for lo in range(0, base, _BLOCK_ARCS):
+        vec = np.flatnonzero(block[lo:lo + _BLOCK_ARCS] == code)
+        if vec.size:
+            vec += lo
+            yield vec
+
+
+def _bottom_up_level(level_map: np.ndarray, inverse: _NeighborKernel, code: int) -> None:
     """Mark ``code`` on every unseen vertex with an in-neighbour at ``code - 1``.
 
     ``inverse`` is the kernel over the inverse generators, so its rows are
-    the in-neighbours v * s^-1 of v; ``by_shift`` holds the per-shift counts
-    of level ``code - 1``.  For each source shift the generators are tried
-    most populous in-neighbour shift first (stably; a shift without frontier
+    the in-neighbours v * s^-1 of v.  For each source shift the generators
+    are tried most populous in-neighbour shift first (stably, by the
+    per-shift counts of level ``code - 1``; a shift without frontier
     vertices is skipped), and a vertex drops out as soon as it is found.
-    Unseen vertices are taken from the level map in windows of
-    ``_BLOCK_ARCS`` entries, so temporaries stay small whatever the graph.
-    Returns the per-shift counts of the vertices found, each counted once.
     """
     base = inverse.base
-    found = np.zeros(by_shift.size, dtype=np.int64)
+    by_shift = _count_by_shift(level_map, code - 1, base)
     for su in range(by_shift.size):
         # inverse generator j leads from shift su to shift addends[su, j] // base
         density = by_shift[inverse.addends[su] // base]
@@ -214,9 +227,7 @@ def _bottom_up_level(
         order = order[density[order] > 0]
         if order.size == 0:
             continue
-        block = level_map[su * base:(su + 1) * base]
-        for lo in range(0, base, _BLOCK_ARCS):
-            vec = np.flatnonzero(block[lo:lo + _BLOCK_ARCS] == 0) + lo
+        for vec in _windows(level_map, su, 0, base):
             g = 0
             while vec.size and g < order.size:
                 rows = max(1, _BLOCK_ARCS // vec.size)
@@ -224,27 +235,17 @@ def _bottom_up_level(
                 (nb,) = inverse.neighbors(su, vec, order[g:g + rows])
                 g += rows
                 hit = (level_map[nb] == code - 1).any(axis=0)
-                fresh = vec[hit]
-                block[fresh] = code
-                found[su] += fresh.size
+                level_map[vec[hit] + su * base] = code
                 vec = vec[~hit]
-    return found
 
 
-def _top_down_level(
-    level_map: np.ndarray, kernel: _NeighborKernel, frontier: np.ndarray, code: int
-) -> None:
-    """Mark ``code`` on every unseen out-neighbour of the sorted ``frontier``."""
+def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -> None:
+    """Mark ``code`` on every unseen out-neighbour of a vertex at ``code - 1``."""
     base = kernel.base
-    # indices are shift-major, so a sorted frontier splits into one
-    # contiguous segment per source shift
-    cuts = np.searchsorted(frontier, np.arange(level_map.size // base + 1) * base)
-    for su in range(cuts.size - 1):
-        seg = frontier[cuts[su]:cuts[su + 1]]
-        if seg.size == 0:
-            continue
-        for nb in kernel.neighbors(su, seg - su * base):
-            level_map[nb[level_map[nb] == 0]] = code
+    for su in range(level_map.size // base):
+        for vec in _windows(level_map, su, code - 1, base):
+            for nb in kernel.neighbors(su, vec):
+                level_map[nb[level_map[nb] == 0]] = code
 
 
 def _bfs_levels(
@@ -256,8 +257,10 @@ def _bfs_levels(
     the last level is filled in while the one before it is expanded, and is
     itself never expanded.  Each level is found top-down, by expanding the
     level before it, or bottom-up (:func:`_bottom_up_level`) once that level
-    is large against the vertices still unseen.  The returned map holds each
-    vertex's distance plus one.
+    is large against the vertices still unseen; either way the level map is
+    the only state carried from one level to the next, and it is read in
+    windows (:func:`_windows`).  The returned map holds each vertex's
+    distance plus one.
     """
     params = gens.params
     n = params.order()
@@ -270,10 +273,6 @@ def _bfs_levels(
     # (non-construction) set goes past level 254, then wide enough for n
     level_map = np.zeros(n, dtype=np.uint8)
     level_map[source_index] = 1
-    # the last level's indices (top-down) or its per-shift counts (bottom-up),
-    # each built only when the next step needs it
-    frontier = np.array([source_index], dtype=np.int64)
-    by_shift = None
     histogram = [1]
     reached = 1
     while reached < n:
@@ -285,20 +284,12 @@ def _bfs_levels(
                 inverse = _NeighborKernel(GeneratorSet(
                     params, tuple(params.inv(s) for s in gens.elements), gens.directed
                 ))
-            if by_shift is None:
-                by_shift = _count_by_shift(level_map, code - 1, kernel.base)
-            frontier = None
-            # every unseen vertex is tested once, so the count is exact
-            by_shift = _bottom_up_level(level_map, inverse, by_shift, code)
-            count = int(by_shift.sum())
+            _bottom_up_level(level_map, inverse, code)
         else:
-            if frontier is None:
-                frontier = np.flatnonzero(level_map == code - 1)
-            _top_down_level(level_map, kernel, frontier, code)
-            frontier = by_shift = None
-            # a chunk can reach one vertex twice, so count the level once,
-            # here: every vertex seen so far is nonzero in the map
-            count = int(np.count_nonzero(level_map)) - reached
+            _top_down_level(level_map, kernel, code)
+        # a top-down chunk can reach one vertex twice, so count the level
+        # once, here: every vertex seen so far is nonzero in the map
+        count = int(np.count_nonzero(level_map)) - reached
         if count == 0:
             raise DisconnectedGraphError(n - reached, histogram)
         histogram.append(count)

@@ -223,16 +223,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_cap=False):
-        p.add_argument("--format", choices=("json", "table"), default="json")
+    def add_output(p, cap_help=None):
         p.add_argument("--out", default=None, help="write output to this path")
-        if with_cap:
+        if cap_help is not None:
             p.add_argument(
                 "--cap",
                 type=int,
                 default=DEFAULT_STATE_CAP,
-                help=f"dense state cap (default {DEFAULT_STATE_CAP})",
+                help=f"{cap_help} (default {DEFAULT_STATE_CAP})",
             )
+
+    def add_common(p, cap_help=None):
+        p.add_argument("--format", choices=("json", "table"), default="json")
+        add_output(p, cap_help)
 
     p_build = sub.add_parser("build", help="build and validate a generator set (no BFS)")
     p_build.add_argument("spec", help="construction spec, e.g. thm1:k=4,d=3 or cor:k=3")
@@ -246,19 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="report invariant failures as warnings instead of exit 1",
     )
-    add_common(p_verify, with_cap=True)
+    add_common(p_verify, cap_help="dense state cap")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_export = sub.add_parser("export", help="write an explicit graph encoding")
     p_export.add_argument("spec")
     p_export.add_argument("graph_format", choices=EXPORT_FORMATS)
-    p_export.add_argument("--out", default=None)
-    p_export.add_argument(
-        "--cap",
-        type=int,
-        default=DEFAULT_STATE_CAP,
-        help=f"cap on vertices and on arcs (default {DEFAULT_STATE_CAP})",
-    )
+    add_output(p_export, cap_help="cap on vertices and on arcs")
     p_export.set_defaults(func=_cmd_export)
 
     p_compare = sub.add_parser("compare", help="exact order comparison over a degree range")

@@ -246,13 +246,14 @@ def test_bfs_past_level_254_widens_the_level_map():
 
 
 def test_bfs_peak_memory_follows_the_level_map_model():
-    # one byte of level map and one byte of transient frontier mask per vertex,
-    # three int64 copies of the largest expanded level (frontier, its
-    # per-shift segments, the next frontier) and chunk temporaries of at
-    # most 32 bytes per arc; the int32 distance array of old needed 4 bytes
-    # per vertex on its own
+    # one byte of level map per vertex and, for t = 2, window temporaries of
+    # at most 34 bytes per arc of a _BLOCK_ARCS window: the window's frontier
+    # indices, a chunk of neighbour indices, the positions of its unseen
+    # entries and those entries (four int64 words), and the gathered map
+    # bytes with their mask; plus the kernel's int64 tables, (r, d) addends
+    # and (d, 2r) thresholds.  An n-byte frontier mask does not fit
     gens = build(parse_spec("thm3:k=3,l=7,t=2,m=3"))
-    n = gens.params.order()
+    n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
     tracemalloc.start()
     try:
         histogram = bfs_from_identity(gens).histogram
@@ -260,8 +261,8 @@ def test_bfs_peak_memory_follows_the_level_map_model():
     finally:
         tracemalloc.stop()
     assert histogram == [1, 255, 41368, 2186600]
-    bound = 2 * n + 24 * max(histogram[:-1]) + 32 * _BLOCK_ARCS
-    assert peak <= bound, (peak / n, bound / n)
+    bound = n + 34 * _BLOCK_ARCS + 3 * 8 * r * d
+    assert peak <= bound, (peak - n) / _BLOCK_ARCS
 
 
 @st.composite
@@ -284,21 +285,27 @@ def bfs_cases(draw):
 @given(bfs_cases())
 def test_bfs_matches_scalar_bfs_in_both_directions(case):
     # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
-    # the first ones of the larger groups top-down
+    # the first ones of the larger groups top-down; windows of 1 and 7 map
+    # entries split every shift, and the real size never does here
     gens, source = case
     params = gens.params
     n = params.order()
     levels = scalar_levels(gens, source)
     histogram = np.bincount(list(levels.values())).tolist()
-    if len(levels) == n:
-        result = bfs_from(gens, source, want_distances=True)
-        assert result.distances.tolist() == [levels[params.decode(u)] for u in range(n)]
-        assert result.histogram == histogram
-    else:
-        with pytest.raises(DisconnectedGraphError) as excinfo:
-            bfs_from(gens, source)
-        assert excinfo.value.unreachable == n - len(levels)
-        assert excinfo.value.histogram == histogram
+    for block_arcs in (1, 7, _BLOCK_ARCS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cayley, "_BLOCK_ARCS", block_arcs)
+            if len(levels) == n:
+                result = bfs_from(gens, source, want_distances=True)
+                assert result.distances.tolist() == [
+                    levels[params.decode(u)] for u in range(n)
+                ], block_arcs
+                assert result.histogram == histogram, block_arcs
+            else:
+                with pytest.raises(DisconnectedGraphError) as excinfo:
+                    bfs_from(gens, source)
+                assert excinfo.value.unreachable == n - len(levels), block_arcs
+                assert excinfo.value.histogram == histogram, block_arcs
 
 
 def test_bottom_up_runs_only_where_the_frontier_is_large(monkeypatch):
@@ -343,9 +350,8 @@ def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
         return count_by_shift(*args)
 
     def stepped(*args):
-        found = bottom_up_level(*args)
+        bottom_up_level(*args)
         peaks.append(tracemalloc.get_traced_memory()[1])
-        return found
 
     monkeypatch.setattr(cayley, "_count_by_shift", counted)
     monkeypatch.setattr(cayley, "_bottom_up_level", stepped)
