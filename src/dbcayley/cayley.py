@@ -113,22 +113,21 @@ class _NeighborKernel:
         x + A - sum over i in nz(A) of t**(i+1) * [digit_i(x) + a_i >= t],
 
     where the term at i = r-1 subtracts t**r, the wrap of the top digit.
-    Only digit places where some generator of a chunk has a nonzero digit
-    are read, each at most once per call.
+    Only digit places where some selected generator has a nonzero digit are
+    read.  A call evaluates exactly the rows it is given; sizing them to a
+    memory budget is the caller's job.
     """
 
-    def __init__(self, gens: GeneratorSet, chunk_arcs: int = _BLOCK_ARCS):
+    def __init__(self, gens: GeneratorSet):
         params = gens.params
         t, r = params.t, params.r
-        n = params.order()
         self.t = t
         self.base = t**r
-        self.chunk_arcs = chunk_arcs
         d = len(gens.elements)
         # vector codes of the generators, and their target-shift offsets per
         # source shift; alpha^su rotates the code's top su digits to the bottom
         codes = np.array(
-            [params.encode(GroupElement(vec, 0), cap=n) for vec, _ in gens.elements],
+            [params.encode(GroupElement(vec, 0)) for vec, _ in gens.elements],
             dtype=np.int64,
         )
         shifts = np.array([sv for _, sv in gens.elements], dtype=np.int64)
@@ -142,42 +141,28 @@ class _NeighborKernel:
         vectors = np.array([vec for vec, _ in gens.elements], dtype=np.int64)
         self.thresholds = np.tile(t - vectors.reshape(d, r), 2)
 
-    def neighbors(self, su: int, vec: np.ndarray, which: np.ndarray | None = None):
-        """Yield the neighbour indices of a block in generator-major chunks.
+    def neighbors(self, su: int, vec: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
+        """Neighbour indices of a block through the generators ``rows`` selects.
 
         ``vec`` holds the vector parts (index minus ``su * t**r``, int64) of
-        vertices that all have shift ``su``.  Each chunk is a 2-D array of
-        about ``chunk_arcs`` arcs, one row per generator (in generator order,
-        or in the order of the generator positions ``which`` when given, for
-        just those generators) aligned with ``vec``; a block of more than
-        ``chunk_arcs`` vertices gets one row per chunk.
+        vertices that all have shift ``su``; ``rows`` is a slice or an array
+        of generator positions.  The result has one row per selected
+        generator, in the order selected, aligned with ``vec``.
         """
         t = self.t
-        addends = self.addends[su]
-        if which is not None:
-            addends = addends[which]
-        rows = max(1, self.chunk_arcs // max(vec.size, 1))
+        addends = self.addends[su, rows]
         if t == 2:
             # the addend's shift offset lies above every vector bit
-            for g in range(0, addends.size, rows):
-                yield vec ^ addends[g:g + rows, None]
-            return
+            return vec ^ addends[:, None]
         r = self.thresholds.shape[1] // 2
-        thresholds = self.thresholds[:, r - su:2 * r - su]
-        if which is not None:
-            thresholds = thresholds[which]
-        digits: dict[int, np.ndarray] = {}
-        for g in range(0, addends.size, rows):
-            nb = vec + addends[g:g + rows, None]
-            chunk = thresholds[g:g + rows]
-            for place in np.flatnonzero((chunk < t).any(axis=0)).tolist():
-                digit = digits.get(place)
-                if digit is None:
-                    digit = digits[place] = vec // t**place % t
-                np.subtract(
-                    nb, t ** (place + 1), out=nb, where=digit >= chunk[:, place, None]
-                )
-            yield nb
+        thresholds = self.thresholds[rows, r - su:2 * r - su]
+        nb = vec + addends[:, None]
+        for place in np.flatnonzero((thresholds < t).any(axis=0)).tolist():
+            np.subtract(
+                nb, t ** (place + 1), out=nb,
+                where=vec // t**place % t >= thresholds[:, place, None],
+            )
+        return nb
 
 
 #: a level is found bottom-up once the level before it, times this factor,
@@ -231,8 +216,7 @@ def _bottom_up_level(level_map: np.ndarray, inverse: _NeighborKernel, code: int)
             g = 0
             while vec.size and g < order.size:
                 rows = max(1, _BLOCK_ARCS // vec.size)
-                # at most rows generators fill exactly one chunk
-                (nb,) = inverse.neighbors(su, vec, order[g:g + rows])
+                nb = inverse.neighbors(su, vec, order[g:g + rows])
                 g += rows
                 hit = (level_map[nb] == code - 1).any(axis=0)
                 level_map[vec[hit] + su * base] = code
@@ -244,7 +228,9 @@ def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -
     base = kernel.base
     for su in range(level_map.size // base):
         for vec in _windows(level_map, su, code - 1, base):
-            for nb in kernel.neighbors(su, vec):
+            rows = max(1, _BLOCK_ARCS // vec.size)
+            for g in range(0, kernel.addends.shape[1], rows):
+                nb = kernel.neighbors(su, vec, slice(g, g + rows))
                 level_map[nb[level_map[nb] == 0]] = code
 
 
@@ -304,8 +290,7 @@ def bfs_from(
     want_distances: bool = False,
 ) -> BfsResult:
     """Exact eccentricity and per-level counts from an arbitrary source."""
-    source_index = gens.params.encode(source, cap=cap)
-    level_map, histogram = _bfs_levels(gens, source_index, cap)
+    level_map, histogram = _bfs_levels(gens, gens.params.encode(source), cap)
     distances = None
     if want_distances:
         # the narrowest signed dtype that holds every level code
@@ -461,10 +446,8 @@ def write_graph(
     for su in range(params.r):
         for start in range(0, base, block):
             vec = np.arange(start, min(start + block, base), dtype=np.int64)
-            # (vertex, generator position); the empty head covers d = 0
-            rows = np.concatenate(
-                [np.empty((0, vec.size), dtype=np.int64), *kernel.neighbors(su, vec)]
-            ).T
+            # (vertex, generator position)
+            rows = kernel.neighbors(su, vec, slice(None)).T
             u = vec + su * base
             if fmt == "adjacency":
                 fields = np.column_stack((u, rows))

@@ -230,9 +230,8 @@ def _digit_block(
 ) -> list[GroupElement]:
     """Every element of the given shift whose vector's digits lie in the
     first ``width`` coordinates, in index order from vector index ``start``."""
-    n = params.order()
     return [
-        params.element(params.decode(v, cap=n).vector, shift)
+        params.element(params.decode(v).vector, shift)
         for v in range(start, params.t**width)
     ]
 

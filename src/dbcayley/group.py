@@ -119,22 +119,17 @@ class GroupParams:
         vec = tuple((-a) % self.t for a in rotated)
         return GroupElement(vec, (-x.shift) % self.r)
 
-    def encode(self, x: GroupElement, cap: int = DEFAULT_STATE_CAP) -> int:
+    def encode(self, x: GroupElement) -> int:
         """Dense index of ``x`` in [0, r * t**r) under the normative layout."""
-        n = self.order()
-        if n > cap:
-            raise CapExceededError(n, cap)
         self._check_member(x)
         value = 0
         for coord in reversed(x.vector):
             value = value * self.t + coord
         return x.shift * self.t**self.r + value
 
-    def decode(self, index: int, cap: int = DEFAULT_STATE_CAP) -> GroupElement:
+    def decode(self, index: int) -> GroupElement:
         """Inverse of :meth:`encode`."""
         n = self.order()
-        if n > cap:
-            raise CapExceededError(n, cap)
         if not 0 <= index < n:
             raise ParameterError(f"index {index} outside [0, {n})")
         shift, value = divmod(index, self.t**self.r)
@@ -146,6 +141,5 @@ class GroupParams:
 
     def elements(self) -> Iterator[GroupElement]:
         """All elements in index order (exhaustive; intended for small groups)."""
-        n = self.order()
-        for index in range(n):
-            yield self.decode(index, cap=n)
+        for index in range(self.order()):
+            yield self.decode(index)

@@ -285,8 +285,9 @@ def bfs_cases(draw):
 @given(bfs_cases())
 def test_bfs_matches_scalar_bfs_in_both_directions(case):
     # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
-    # the first ones of the larger groups top-down; windows of 1 and 7 map
-    # entries split every shift, and the real size never does here
+    # the first ones of the larger groups top-down; block sizes of 1 and 7
+    # split every shift into windows and the generators of a window into
+    # chunks, in both directions, and the real size splits neither here
     gens, source = case
     params = gens.params
     n = params.order()
@@ -309,36 +310,61 @@ def test_bfs_matches_scalar_bfs_in_both_directions(case):
 
 
 def test_bottom_up_runs_only_where_the_frontier_is_large(monkeypatch):
-    # the kernel is given generator positions only by a bottom-up step
-    positions = []
-    kernel_neighbors = _NeighborKernel.neighbors
+    steps = []
+    bottom_up_level = cayley._bottom_up_level
 
-    def spy(self, su, vec, which=None):
-        if which is not None:
-            positions.append(which)
-        return kernel_neighbors(self, su, vec, which)
+    def spy(*args):
+        steps.append(args[-1])
+        return bottom_up_level(*args)
 
-    monkeypatch.setattr(_NeighborKernel, "neighbors", spy)
+    monkeypatch.setattr(cayley, "_bottom_up_level", spy)
     for spec_text, histogram, bottom_up in [
         ("thm1:k=4,d=10", [1, 10, 96, 864, 1216], True),
         # the last step: 15,876 frontier vertices, 21,141 unseen
         ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141], True),
         ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600], False),
     ]:
-        positions.clear()
+        steps.clear()
         result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
         assert result.histogram == histogram, spec_text
         assert np.bincount(result.distances).tolist() == histogram, spec_text
-        assert bool(positions) == bottom_up, spec_text
+        assert bool(steps) == bottom_up, spec_text
+
+
+def test_top_down_chunks_follow_the_block_size(monkeypatch):
+    # _BLOCK_ARCS is read when a level runs: at one arc per block, every
+    # window of the two top-down levels (19 generators) is expanded one
+    # generator row at a time, and so is the bottom-up last level
+    levels, rows = [], []
+    kernel_neighbors = _NeighborKernel.neighbors
+    top_down_level = cayley._top_down_level
+
+    def spy(self, su, vec, selected):
+        nb = kernel_neighbors(self, su, vec, selected)
+        rows.append(len(nb))
+        return nb
+
+    def top_down(*args):
+        levels.append(args[-1])
+        return top_down_level(*args)
+
+    monkeypatch.setattr(_NeighborKernel, "neighbors", spy)
+    monkeypatch.setattr(cayley, "_top_down_level", top_down)
+    monkeypatch.setattr(cayley, "_BLOCK_ARCS", 1)
+    result = bfs_from_identity(build(parse_spec("thm3:k=3,l=3,t=2,m=1")))
+    assert result.histogram == [1, 19, 196, 680]
+    assert levels == [2, 3]
+    assert len(rows) >= 19 * (1 + 19)
+    assert set(rows) == {1}
 
 
 def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
     # a bottom-up level holds the level map (1 byte per vertex), one shift's
     # mask while the frontier is counted per shift (n / r bytes), and window
     # temporaries: the window's unseen indices, a chunk of neighbour indices,
-    # the cached digit and its transient quotient (thm1's inverse generators
-    # have at most one nonzero digit), four int64 words per arc of a
-    # _BLOCK_ARCS window, plus byte masks, within a fifth word
+    # a digit and its quotient (thm1's inverse generators have at most one
+    # nonzero digit), four int64 words per arc of a _BLOCK_ARCS window, plus
+    # byte masks, within a fifth word
     gens = build(parse_spec("thm1:k=4,d=70"))
     n, r = gens.params.order(), gens.params.r
     peaks = []
@@ -370,13 +396,12 @@ def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
 
 @st.composite
 def kernel_cases(draw):
-    """A group, a generator list, one block, a chunk size and generator positions.
+    """A group, a generator list, one block and a selection of generator rows.
 
     Generator vectors are dense (every digit random) or sparse (mostly zero
     digits); t > 0x7FFF, with r = 2, is the range where a narrow per-digit
-    dtype would overflow.  The chunk size gives one row per chunk, a partial
-    set of rows or every row in one chunk.  The positions are None (every
-    generator, in order) or a random subset of them in a random order.
+    dtype would overflow.  The rows are a slice in generator order or an
+    array of positions in a random order, either of them possibly empty.
     """
     t = draw(st.one_of(st.integers(2, 7), st.integers(0x8000, 0x10000)))
     r = 2 if t > 0x7FFF else draw(st.integers(2, 6))
@@ -389,38 +414,28 @@ def kernel_cases(draw):
         params, tuple(params.element(vec, sv) for vec, sv in elements), directed=True
     )
     block = draw(st.lists(st.integers(0, t**r - 1), max_size=40))
-    all_arcs = max(1, len(block) * len(elements))
-    chunk_arcs = draw(st.one_of(st.just(1), st.integers(1, all_arcs), st.just(all_arcs)))
-    which = None
+    d = len(elements)
     if draw(st.booleans()):
-        order = draw(st.permutations(range(len(elements))))
-        which = order[:draw(st.integers(0, len(order)))]
-    return gens, block, chunk_arcs, which
-
-
-def _check_kernel(gens, block, chunk_arcs=1 << 16, which=None):
-    params = gens.params
-    n = params.order()
-    base = params.t**params.r
-    kernel = _NeighborKernel(gens, chunk_arcs)
-    vec = np.array(block, dtype=np.int64)
-    if which is None:
-        expected_gens = gens.elements
-        positions = None
+        start = draw(st.integers(0, d))
+        rows = slice(start, draw(st.integers(start, d + 2)))
     else:
-        expected_gens = [gens.elements[j] for j in which]
-        positions = np.array(which, dtype=np.int64)
+        order = draw(st.permutations(range(d)))
+        rows = np.array(order[:draw(st.integers(0, d))], dtype=np.int64)
+    return gens, block, rows
+
+
+def _check_kernel(gens, block, rows):
+    params = gens.params
+    base = params.t**params.r
+    kernel = _NeighborKernel(gens)
+    vec = np.array(block, dtype=np.int64)
+    expected_gens = [gens.elements[j] for j in np.arange(len(gens.elements))[rows]]
     for su in range(params.r):
-        chunks = list(kernel.neighbors(su, vec, positions))
-        assert all(chunk.shape[1] == len(block) for chunk in chunks)
-        # a chunk holds whole rows, as many as fit (at least one)
-        rows = max(1, chunk_arcs // max(len(block), 1))
-        assert [len(chunk) for chunk in chunks[:-1]] == [rows] * (len(chunks) - 1)
-        produced = np.concatenate([np.empty((0, len(block)), np.int64), *chunks])
-        assert len(produced) == len(expected_gens)
+        produced = kernel.neighbors(su, vec, rows)
+        assert produced.shape == (len(expected_gens), len(block))
         for s, row in zip(expected_gens, produced.tolist()):
             expected = [
-                params.encode(params.mul(params.decode(su * base + x, cap=n), s), cap=n)
+                params.encode(params.mul(params.decode(su * base + x), s))
                 for x in block
             ]
             assert row == expected, (su, s)
@@ -442,10 +457,10 @@ def test_kernel_carries_every_digit(t, r):
         (params.element([t - 1] * r, 0), params.element(range(1, r + 1), r - 1)),
         directed=True,
     )
-    for chunk_arcs in (1, 4, 1 << 16):
-        _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1], chunk_arcs)
-        _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1], chunk_arcs, [1, 0])
-        _check_kernel(gens, [], chunk_arcs)
+    for rows in (slice(None), slice(1, 2), slice(2, 2), np.array([1, 0]),
+                 np.array([], dtype=np.int64)):
+        _check_kernel(gens, [t**r - 1, 0, t**r - 2, 1], rows)
+        _check_kernel(gens, [], rows)
 
 
 # --- verify_construction ----------------------------------------------------------

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from dbcayley import (
-    CapExceededError,
     GroupElement,
     GroupParams,
     ParameterError,
@@ -186,15 +185,13 @@ def test_encode_decode_roundtrip_random_large():
         assert params.encode(params.decode(index)) == index
 
 
-def test_encode_refuses_above_cap():
+def test_encode_decode_roundtrip_above_state_cap():
+    # index arithmetic allocates nothing, so it takes any order; refusals
+    # belong to the operations that spend memory
     params = GroupParams(2, 30)  # order 30 * 2**30 > 2**27
-    with pytest.raises(CapExceededError) as excinfo:
-        params.encode(params.identity())
-    assert excinfo.value.required == params.order()
-    with pytest.raises(CapExceededError):
-        params.decode(0)
-    # an explicit cap unlocks the same call
-    assert params.encode(params.identity(), cap=params.order()) == 0
+    n = params.order()
+    assert params.encode(params.decode(n - 1)) == n - 1
+    assert params.encode(params.identity()) == 0
 
 
 def test_decode_rejects_out_of_range():
