@@ -22,18 +22,17 @@ degree neighbour evaluations in generator-major chunks of about 2**16
 arcs.  Bottom up, chosen once 14 times the level before outnumbers the
 unseen vertices, every unseen vertex v, read window by window, looks for
 an in-neighbour v * s^-1 on that level, through a second kernel over the
-inverse generators, and stops at the first one found.  For each shift of
-v the generators are tried in order of how many frontier vertices sit at
-their in-neighbour's shift (counted with one shift's mask, n/r bytes, at
-a time), so on the paper's families nearly every vertex is settled by its
-first evaluation.  Either way a level is counted by one pass over the
-map, and the map is the only state kept between levels, so the search
-costs n bytes, n + n/r while a bottom-up level counts its frontier, plus
-a fixed few int64 words per arc of a window.  Above the state cap the
-search refuses instead of degrading.  Exports walk the vertices through
-the same neighbour kernel in chunks of the same size, so their memory
-does not grow with the graph, and refuse above the cap in vertices or in
-arcs.
+inverse generators, one generator at a time, and stops at the first one
+found.  For each shift of v the generators are tried in order of how many
+frontier vertices sit at their in-neighbour's shift, so on the paper's
+families nearly every vertex is settled by its first evaluation.  Either
+way a level is counted per shift by one pass over the map, and the map
+and those r counts are the only state kept between levels, so the search
+costs n bytes plus window temporaries, a fixed few int64 words per arc of
+a window, in both directions.  Above the state cap the search refuses
+instead of degrading.  Exports walk the vertices through the same
+neighbour kernel in chunks of the same size, so their memory does not
+grow with the graph, and refuse above the cap in vertices or in arcs.
 """
 
 from __future__ import annotations
@@ -85,10 +84,6 @@ class BfsResult:
     diameter: int
     histogram: list[int]
     distances: np.ndarray | None = None
-
-    @property
-    def reached(self) -> int:
-        return sum(self.histogram)
 
 
 def neighbors(g: GroupElement, gens: GeneratorSet) -> list[GroupElement]:
@@ -170,15 +165,6 @@ class _NeighborKernel:
 _ALPHA = 14
 
 
-def _count_by_shift(level_map: np.ndarray, code: int, base: int) -> np.ndarray:
-    """Per-shift counts of the vertices at ``code``, one shift's mask at a time."""
-    return np.array(
-        [np.count_nonzero(level_map[lo:lo + base] == code)
-         for lo in range(0, level_map.size, base)],
-        dtype=np.int64,
-    )
-
-
 def _windows(level_map: np.ndarray, su: int, code: int, base: int):
     """Yield the vector parts of shift ``su``'s vertices at ``code``.
 
@@ -194,33 +180,34 @@ def _windows(level_map: np.ndarray, su: int, code: int, base: int):
             yield vec
 
 
-def _bottom_up_level(level_map: np.ndarray, inverse: _NeighborKernel, code: int) -> None:
+def _bottom_up_level(
+    level_map: np.ndarray, inverse: _NeighborKernel, code: int, frontier: np.ndarray
+) -> None:
     """Mark ``code`` on every unseen vertex with an in-neighbour at ``code - 1``.
 
     ``inverse`` is the kernel over the inverse generators, so its rows are
     the in-neighbours v * s^-1 of v.  For each source shift the generators
-    are tried most populous in-neighbour shift first (stably, by the
-    per-shift counts of level ``code - 1``; a shift without frontier
-    vertices is skipped), and a vertex drops out as soon as it is found.
+    are tried one at a time, most populous in-neighbour shift first (stably,
+    by ``frontier``, the per-shift counts of level ``code - 1``; a shift
+    without frontier vertices is skipped), and a vertex drops out as soon
+    as it is found.
     """
     base = inverse.base
-    by_shift = _count_by_shift(level_map, code - 1, base)
-    for su in range(by_shift.size):
+    for su in range(frontier.size):
         # inverse generator j leads from shift su to shift addends[su, j] // base
-        density = by_shift[inverse.addends[su] // base]
+        density = frontier[inverse.addends[su] // base]
         order = np.argsort(-density, kind="stable")
         order = order[density[order] > 0]
         if order.size == 0:
             continue
         for vec in _windows(level_map, su, 0, base):
-            g = 0
-            while vec.size and g < order.size:
-                rows = max(1, _BLOCK_ARCS // vec.size)
-                nb = inverse.neighbors(su, vec, order[g:g + rows])
-                g += rows
-                hit = (level_map[nb] == code - 1).any(axis=0)
+            for j in order.tolist():
+                (nb,) = inverse.neighbors(su, vec, [j])
+                hit = level_map[nb] == code - 1
                 level_map[vec[hit] + su * base] = code
                 vec = vec[~hit]
+                if not vec.size:
+                    break
 
 
 def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -> None:
@@ -234,63 +221,62 @@ def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -
                 level_map[nb[level_map[nb] == 0]] = code
 
 
-def _bfs_levels(
-    gens: GeneratorSet, source_index: int, cap: int
-) -> tuple[np.ndarray, list[int]]:
-    """Every vertex's level code, and the per-level counts.
-
-    Level-synchronous BFS that stops as soon as every vertex is reached:
-    the last level is filled in while the one before it is expanded, and is
-    itself never expanded.  Each level is found top-down, by expanding the
-    level before it, or bottom-up (:func:`_bottom_up_level`) once that level
-    is large against the vertices still unseen; either way the level map is
-    the only state carried from one level to the next, and it is read in
-    windows (:func:`_windows`).  The returned map holds each vertex's
-    distance plus one.
-    """
-    params = gens.params
-    n = params.order()
-    if n > cap:
-        raise CapExceededError(n, cap)
-    kernel = _NeighborKernel(gens)
-    inverse = None
-
-    # level + 1 per vertex, 0 while unseen; one byte until a pathological
-    # (non-construction) set goes past level 254, then wide enough for n
-    level_map = np.zeros(n, dtype=np.uint8)
-    level_map[source_index] = 1
-    histogram = [1]
-    reached = 1
-    while reached < n:
-        code = len(histogram) + 1
-        if code > np.iinfo(level_map.dtype).max:
-            level_map = level_map.astype(np.min_scalar_type(n))
-        if _ALPHA * histogram[-1] > n - reached:
-            if inverse is None:
-                inverse = _NeighborKernel(GeneratorSet(
-                    params, tuple(params.inv(s) for s in gens.elements), gens.directed
-                ))
-            _bottom_up_level(level_map, inverse, code)
-        else:
-            _top_down_level(level_map, kernel, code)
-        # a top-down chunk can reach one vertex twice, so count the level
-        # once, here: every vertex seen so far is nonzero in the map
-        count = int(np.count_nonzero(level_map)) - reached
-        if count == 0:
-            raise DisconnectedGraphError(n - reached, histogram)
-        histogram.append(count)
-        reached += count
-    return level_map, histogram
-
-
 def bfs_from(
     gens: GeneratorSet,
     source: GroupElement,
     cap: int = DEFAULT_STATE_CAP,
     want_distances: bool = False,
 ) -> BfsResult:
-    """Exact eccentricity and per-level counts from an arbitrary source."""
-    level_map, histogram = _bfs_levels(gens, gens.params.encode(source), cap)
+    """Exact eccentricity and per-level counts from an arbitrary source.
+
+    Level-synchronous BFS that stops as soon as every vertex is reached:
+    the last level is filled in while the one before it is expanded, and is
+    itself never expanded.  Each level is found top-down, by expanding the
+    level before it, or bottom-up (:func:`_bottom_up_level`) once that level
+    is large against the vertices still unseen; either way the level map is
+    the only state carried from one level to the next besides its per-shift
+    counts, and it is read in windows (:func:`_windows`).
+    """
+    params = gens.params
+    n = params.order()
+    if n > cap:
+        raise CapExceededError(n, cap)
+    kernel = _NeighborKernel(gens)
+    base = kernel.base
+    inverse = None
+
+    # level + 1 per vertex, 0 while unseen; one byte until a pathological
+    # (non-construction) set goes past level 254, then wide enough for n
+    level_map = np.zeros(n, dtype=np.uint8)
+    source_index = params.encode(source)
+    level_map[source_index] = 1
+    # per shift: the vertices reached so far, and those of the last level;
+    # Python lists keep these off the malloc heap that window temporaries reuse
+    seen = [0] * params.r
+    seen[source_index // base] = 1
+    last = seen
+    histogram = [1]
+    while (unseen := n - sum(seen)):
+        code = len(histogram) + 1
+        if code > np.iinfo(level_map.dtype).max:
+            level_map = level_map.astype(np.min_scalar_type(n))
+        if _ALPHA * histogram[-1] > unseen:
+            if inverse is None:
+                inverse = _NeighborKernel(GeneratorSet(
+                    params, tuple(params.inv(s) for s in gens.elements), gens.directed
+                ))
+            _bottom_up_level(level_map, inverse, code, np.array(last))
+        else:
+            _top_down_level(level_map, kernel, code)
+        # a top-down chunk can reach one vertex twice, so count the level
+        # once, here: every vertex seen so far is nonzero in the map
+        now = [int(np.count_nonzero(level_map[lo:lo + base])) for lo in range(0, n, base)]
+        last = [a - b for a, b in zip(now, seen)]
+        seen = now
+        if not any(last):
+            raise DisconnectedGraphError(unseen, histogram)
+        histogram.append(sum(last))
+
     distances = None
     if want_distances:
         # the narrowest signed dtype that holds every level code
@@ -329,7 +315,6 @@ class GraphReport:
     histogram: list[int] | None
     moore_ratio: Fraction
     validation: ValidationReport
-    unreachable: int = 0
     discrepancies: list[str] = field(default_factory=list)
 
     @property
@@ -359,7 +344,6 @@ def verify_construction(
 
     diameter: int | None = None
     histogram: list[int] | None = None
-    unreachable = 0
     discrepancies: list[str] = []
     if run_bfs:
         try:
@@ -368,7 +352,6 @@ def verify_construction(
             histogram = result.histogram
         except DisconnectedGraphError as exc:
             histogram = exc.histogram
-            unreachable = exc.unreachable
             discrepancies.append(f"{exc.unreachable} vertices unreachable from identity")
         if diameter is not None and diameter != spec.claimed_diameter:
             discrepancies.append(
@@ -387,7 +370,6 @@ def verify_construction(
         histogram=histogram,
         moore_ratio=ratio,
         validation=report,
-        unreachable=unreachable,
         discrepancies=discrepancies,
     )
 

@@ -229,9 +229,10 @@ def _digit_block(
     params: GroupParams, width: int, shift: int, start: int = 0
 ) -> list[GroupElement]:
     """Every element of the given shift whose vector's digits lie in the
-    first ``width`` coordinates, in index order from vector index ``start``."""
+    first ``width`` coordinates, in index order from vector index ``start``;
+    ``shift`` lies in [0, r), and decoded vectors are already canonical."""
     return [
-        params.element(params.decode(v).vector, shift)
+        GroupElement(params.decode(v).vector, shift)
         for v in range(start, params.t**width)
     ]
 
@@ -360,9 +361,6 @@ class CorollarySelection:
 
     def thm3_spec(self) -> ConstructionSpec:
         return ConstructionSpec("thm3", k=self.k, ell=self.ell, t=self.t, m=self.m)
-
-    def thm4_spec(self) -> ConstructionSpec:
-        return ConstructionSpec("thm4", k=self.k, ell=self.ell, t=self.t, m=self.m)
 
 
 def _log_condition_holds(k: int, ell: int) -> bool:

@@ -286,8 +286,9 @@ def bfs_cases(draw):
 def test_bfs_matches_scalar_bfs_in_both_directions(case):
     # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
     # the first ones of the larger groups top-down; block sizes of 1 and 7
-    # split every shift into windows and the generators of a window into
-    # chunks, in both directions, and the real size splits neither here
+    # split every shift into windows in both directions and a top-down
+    # window's generators into chunks, and the real size splits neither
+    # here; bottom-up chunks are always one generator row
     gens, source = case
     params = gens.params
     n = params.order()
@@ -314,7 +315,7 @@ def test_bottom_up_runs_only_where_the_frontier_is_large(monkeypatch):
     bottom_up_level = cayley._bottom_up_level
 
     def spy(*args):
-        steps.append(args[-1])
+        steps.append(args[2])
         return bottom_up_level(*args)
 
     monkeypatch.setattr(cayley, "_bottom_up_level", spy)
@@ -359,27 +360,21 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
 
 
 def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
-    # a bottom-up level holds the level map (1 byte per vertex), one shift's
-    # mask while the frontier is counted per shift (n / r bytes), and window
+    # a bottom-up level holds the level map (1 byte per vertex) and window
     # temporaries: the window's unseen indices, a chunk of neighbour indices,
     # a digit and its quotient (thm1's inverse generators have at most one
     # nonzero digit), four int64 words per arc of a _BLOCK_ARCS window, plus
     # byte masks, within a fifth word
     gens = build(parse_spec("thm1:k=4,d=70"))
-    n, r = gens.params.order(), gens.params.r
+    n = gens.params.order()
     peaks = []
-    count_by_shift = cayley._count_by_shift
     bottom_up_level = cayley._bottom_up_level
 
-    def counted(*args):
-        tracemalloc.reset_peak()
-        return count_by_shift(*args)
-
     def stepped(*args):
+        tracemalloc.reset_peak()
         bottom_up_level(*args)
         peaks.append(tracemalloc.get_traced_memory()[1])
 
-    monkeypatch.setattr(cayley, "_count_by_shift", counted)
     monkeypatch.setattr(cayley, "_bottom_up_level", stepped)
     tracemalloc.start()
     try:
@@ -388,8 +383,38 @@ def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
         tracemalloc.stop()
     assert histogram == [1, 70, 4896, 337824, 642736]
     assert len(peaks) == 1  # the last level, found bottom-up after a top-down one
-    bound = n + n // r + 5 * 8 * _BLOCK_ARCS
+    bound = n + 5 * 8 * _BLOCK_ARCS
     assert peaks[0] <= bound, (peaks[0], bound)
+
+
+@pytest.mark.parametrize("spec_text, found", [
+    ("thm1:k=4,d=10", 1216),
+    ("thm1:k=4,d=70", 642736),
+])
+def test_bottom_up_evaluates_one_generator_row_per_call(monkeypatch, spec_text, found):
+    # on these last levels every unseen vertex is settled by the first
+    # in-neighbour it tries, so one row per call costs one evaluation per
+    # vertex found
+    rows, evaluations = set(), []
+    kernel_neighbors = _NeighborKernel.neighbors
+    bottom_up_level = cayley._bottom_up_level
+
+    def spy(self, su, vec, selected):
+        nb = kernel_neighbors(self, su, vec, selected)
+        rows.add(len(nb))
+        evaluations.append(nb.size)
+        return nb
+
+    def bottom_up(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_NeighborKernel, "neighbors", spy)
+            bottom_up_level(*args)
+
+    monkeypatch.setattr(cayley, "_bottom_up_level", bottom_up)
+    histogram = bfs_from_identity(build(parse_spec(spec_text))).histogram
+    assert histogram[-1] == found
+    assert rows == {1}
+    assert sum(evaluations) == found
 
 
 # --- neighbour kernel ------------------------------------------------------------
