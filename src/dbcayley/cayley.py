@@ -31,12 +31,16 @@ and those r counts are the only state kept between levels, so the search
 costs n bytes plus window temporaries, a fixed few int64 words per arc of
 a window, in both directions.  Above the state cap the search refuses
 instead of degrading.  Exports walk the vertices through the same
-neighbour kernel in chunks of the same size, so their memory does not
-grow with the graph, and refuse above the cap in vertices or in arcs.
+neighbour kernel in blocks of about as many labels, format each block as
+ASCII bytes with numpy (digits from a table of 4-digit quads, a byte mask
+dropping leading zeros) into buffers allocated once per export, and write
+those bytes, so their memory does not grow with the graph; they refuse
+above the cap in vertices or in arcs.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -386,21 +390,113 @@ def check_export_cap(gens: GeneratorSet, cap: int = DEFAULT_STATE_CAP) -> None:
         raise CapExceededError(arcs, cap, "arcs")
 
 
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables of the export formatter, built on first use.
+
+    ``quads[0][q]`` is the int64 word whose first four bytes are the ASCII
+    digits of ``q`` (0 <= q < 10**4, zero-padded) and ``quads[1][q]`` the word
+    with them in its last four, so ``quads[0][x // 10**4] | quads[1][x % 10**4]``
+    spells x < 10**8 as eight digits, and ``keep[c]`` has its last c bytes 1
+    and the rest 0.
+    """
+    quad = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
+    halves = np.zeros((2, 10**4, 8), dtype=np.uint8)
+    halves[0, :, :4] = quad
+    halves[1, :, 4:] = quad
+    quads = halves.view(np.int64)[..., 0]
+    keep = (np.arange(8) >= 8 - np.arange(9)[:, None]).view(np.int64)[:, 0]
+    # every export shares these
+    quads.setflags(write=False)
+    keep.setflags(write=False)
+    return quads, keep
+
+
+class _Rows:
+    """Rows of decimal labels between fixed ASCII literals, formatted by numpy.
+
+    ``template`` is one row with a NUL byte where each label goes.  A row is
+    laid out in 8-byte words: each literal left-aligned in its own words,
+    each label zero-padded to as many words as the digits of ``largest``
+    need; a byte mask of the same shape keeps the literals and each
+    label's significant digits.  Both are allocated once, with the literals
+    in place, so a block rewrites only its label words and their masks, and
+    its bytes are one boolean selection of the word matrix.
+    """
+
+    def __init__(self, template: bytes, largest: int, capacity: int):
+        literals = template.split(b"\0")
+        self._width = -(-len(str(largest)) // 8)
+        row, keep, columns = bytearray(), bytearray(), []
+        for i, literal in enumerate(literals):
+            pad = bytes(-len(literal) % 8)
+            row += literal + pad
+            keep += b"\1" * len(literal) + pad
+            if i < len(literals) - 1:
+                columns.append(len(row) // 8)
+                row += bytes(8 * self._width)
+                keep += bytes(8 * self._width)
+        self._columns = np.array(columns, dtype=np.intp)
+        #: the labels of the next block, one row per output row
+        self.values = np.empty((capacity, self._columns.size), dtype=np.int64)
+        self._words = np.empty((capacity, len(row) // 8), dtype=np.int64)
+        self._words[:] = np.frombuffer(row, dtype=np.int64)
+        self._keep = np.empty_like(self._words)
+        self._keep[:] = np.frombuffer(keep, dtype=np.int64)
+        self._scratch = np.empty((3, self.values.size), dtype=np.int64)
+        self._flags = np.empty(self.values.size, dtype=np.bool_)
+        #: 10**j for 1 <= j while 10**j <= largest: the powers a label passes
+        #: once it has more than j digits
+        self._powers = [10**j for j in range(1, len(str(largest)))]
+
+    def write(self, out: IO[bytes], count: int) -> None:
+        """Write the first ``count`` rows of :attr:`values` to ``out``."""
+        quads, keep = _digit_tables()
+        values = self.values[:count]
+        part, hi, lo = (a[:values.size].reshape(values.shape) for a in self._scratch)
+        flags = self._flags[:values.size].reshape(values.shape)
+        for k in range(self._width):
+            place = 8 * (self._width - 1 - k)
+            columns = self._columns + k
+            # the word's eight digits: the label's digits from 10**place up,
+            # less those of the words before it
+            np.floor_divide(values, 10**place, out=part)
+            if k:
+                np.remainder(part, 10**8, out=part)
+            np.divmod(part, 10**4, out=(hi, lo))
+            # every index is in range; "clip" lets take write straight to out
+            np.take(quads[0], hi, out=part, mode="clip")
+            np.take(quads[1], lo, out=hi, mode="clip")
+            part |= hi
+            self._words[:count, columns] = part
+            # how many of them to keep: one per power of ten in this word that
+            # the label reaches, and the units digit always
+            lo.fill(place == 0)
+            for power in self._powers[max(place - 1, 0):place + 7]:
+                np.greater_equal(values, power, out=flags)
+                lo += flags
+            np.take(keep, lo, out=part, mode="clip")
+            self._keep[:count, columns] = part
+        data = self._words[:count].view(np.uint8).ravel()
+        out.write(data[self._keep[:count].view(np.bool_).ravel()])
+
+
 def write_graph(
     gens: GeneratorSet,
     fmt: str,
-    out: IO[str],
+    out: IO[bytes],
     cap: int = DEFAULT_STATE_CAP,
 ) -> None:
-    """Write an explicit encoding of the graph to a text stream.
+    """Write an explicit encoding of the graph to a binary stream, as ASCII.
 
     Vertices are labelled by their dense index.  ``edge-list`` emits one
     "u v" line per arc (per edge with u <= v when undirected); ``dot``
     emits a digraph/graph block; ``adjacency`` emits one "u: n1 n2 ..."
     line per vertex with neighbors in generator order.  Output bytes are
     deterministic given the set and format.  Vertices are walked in index
-    order, a block of about ``_BLOCK_ARCS`` arcs at a time, so memory does
-    not grow with the graph.
+    order, a block of about ``_BLOCK_ARCS`` labels at a time, and each
+    block is formatted by numpy (:class:`_Rows`) into buffers allocated
+    once, so memory does not grow with the graph.
     """
     if fmt not in EXPORT_FORMATS:
         raise ParameterError(
@@ -412,40 +508,53 @@ def write_graph(
     kernel = _NeighborKernel(gens)
     base = kernel.base
     d = len(gens.elements)
-    # vertices per block; a block never straddles two source shifts
-    block = max(1, _BLOCK_ARCS // max(d, 1))
+    if fmt == "dot":
+        out.write(b"digraph {\n" if gens.directed else b"graph {\n")
+        nodes = _Rows(b"  \0;\n", n - 1, min(n, _BLOCK_ARCS))
+        for start in range(0, n, _BLOCK_ARCS):
+            count = min(_BLOCK_ARCS, n - start)
+            nodes.values[:count, 0] = np.arange(start, start + count)
+            nodes.write(out, count)
+        del nodes  # its buffers go before the edge rows allocate theirs
+    # output rows per vertex, and one row with a NUL per label
     if fmt == "adjacency":
-        line = "%d: " + " ".join(["%d"] * d) + "\n"
+        per_vertex, template = 1, b"\0: " + b" ".join([b"\0"] * d) + b"\n"
     elif fmt == "edge-list":
-        line = "%d %d\n"
+        per_vertex, template = d, b"\0 \0\n"
     else:
-        line = "  %d -> %d;\n" if gens.directed else "  %d -- %d;\n"
-        out.write("digraph {\n" if gens.directed else "graph {\n")
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            out.write(("  %d;\n" * (stop - start)) % tuple(range(start, stop)))
+        per_vertex, template = d, b"  \0 -> \0;\n" if gens.directed else b"  \0 -- \0;\n"
+    # vertices per block, about _BLOCK_ARCS labels; a block never straddles
+    # two source shifts
+    labels = per_vertex * template.count(0)
+    block = min(base, max(1, _BLOCK_ARCS // max(labels, 1)))
+    rows = _Rows(template, n - 1, block * per_vertex)
 
     for su in range(params.r):
         for start in range(0, base, block):
             vec = np.arange(start, min(start + block, base), dtype=np.int64)
-            # (vertex, generator position)
-            rows = kernel.neighbors(su, vec, slice(None)).T
+            # (generator position, vertex)
+            nb = kernel.neighbors(su, vec, slice(None))
             u = vec + su * base
             if fmt == "adjacency":
-                fields = np.column_stack((u, rows))
+                count = vec.size
+                rows.values[:count, 0] = u
+                rows.values[:count, 1:] = nb.T
             else:
-                sources = np.broadcast_to(u[:, None], rows.shape)
+                count = nb.size
+                arcs = rows.values[:count].reshape(vec.size, d, 2)
+                arcs[..., 0] = u[:, None]
+                arcs[..., 1] = nb.T
                 if not gens.directed:
-                    keep = sources <= rows
-                    sources, rows = sources[keep], rows[keep]
-                fields = np.column_stack((sources.ravel(), rows.ravel()))
-            out.write((line * len(fields)) % tuple(fields.ravel().tolist()))
+                    keep = (arcs[..., 0] <= arcs[..., 1]).ravel()
+                    count = int(np.count_nonzero(keep))
+                    rows.values[:count] = rows.values[:keep.size][keep]
+            rows.write(out, count)
     if fmt == "dot":
-        out.write("}\n")
+        out.write(b"}\n")
 
 
 def export_graph(gens: GeneratorSet, fmt: str, cap: int = DEFAULT_STATE_CAP) -> bytes:
     """Explicit graph encoding as ASCII bytes (LF line endings)."""
-    buf = io.StringIO()
+    buf = io.BytesIO()
     write_graph(gens, fmt, buf, cap=cap)
-    return buf.getvalue().encode("ascii")
+    return buf.getvalue()

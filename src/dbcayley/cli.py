@@ -130,8 +130,10 @@ def _cmd_export(args) -> int:
     gens = build(spec)
     if not args.out:
         try:
-            write_graph(gens, args.graph_format, sys.stdout, cap=args.cap)
+            # the export writes bytes past the text layer, so empty it first
             sys.stdout.flush()
+            write_graph(gens, args.graph_format, sys.stdout.buffer, cap=args.cap)
+            sys.stdout.buffer.flush()
         except BrokenPipeError:
             # the reader stopped early (``| head``), which is not a failure;
             # point stdout at devnull so the flush at exit cannot raise again
@@ -139,7 +141,7 @@ def _cmd_export(args) -> int:
         return EXIT_OK
     # refuse before the --out file is created or truncated
     check_export_cap(gens, args.cap)
-    with open(args.out, "w", encoding="ascii", newline="\n") as handle:
+    with open(args.out, "wb") as handle:
         write_graph(gens, args.graph_format, handle, cap=args.cap)
     return EXIT_OK
 

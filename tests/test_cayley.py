@@ -1,5 +1,7 @@
 """Implicit-graph operations: BFS, reports, exports."""
 
+import hashlib
+import io
 import random
 import re
 import tracemalloc
@@ -554,6 +556,128 @@ def test_edge_list_golden_prefix():
     lines = data.decode("ascii").splitlines()
     assert lines[:7] == ["0 16", "0 17", "0 18", "0 19", "0 1", "0 8", "0 9"]
     assert lines[7:14] == ["1 17", "1 16", "1 19", "1 18", "1 0", "1 9", "1 8"]
+
+
+# sha256 and byte length of export_graph per (set, format), taken before the
+# exports were formatted by numpy; the empty set runs on GroupParams(2, 3)
+EXPORT_DIGESTS = {
+    "thm1:k=4,d=5": {
+        "edge-list": (6580, "b140f0774467aecde7ed301388da1a2845894ab07e43cddf6c8ea49fcd24b038"),
+        "dot": (13586, "858be657441e48d68098ff5a6d960a75cffaaebcf815f8eeb5d0089229f7f266"),
+        "adjacency": (4140, "db0559646d5d3149f56ee316f1a4e89fdf37176c48040b3c914d2a6aeb799a5b"),
+    },
+    "thm1:k=5,d=12": {
+        "edge-list": (5493360, "559c9d955d34b860dc8f703ad301648ace0724d64303504b67f6a4297e1249c6"),
+        "dot": (8722262, "bbce728a4e091a12acc299cb0c6eedb3af461419beb1d82a54e9590aa82e8660"),
+        "adjacency": (3015570, "dc859af67c0f712b520125fbda180f027fc4cefec8a8c9df4572573a2da33647"),
+    },
+    "thm2:k=4,d=9": {
+        "edge-list": (5264, "0bc6c190897f6f212677f68b1af147cd5d36d4893d9b273362b365eb443404a6"),
+        "dot": (11116, "9823b284851513f90b61145dd66786abc8d7f14c83e29a15d3e3f1a3fe5b528b"),
+        "adjacency": (6114, "927818fc726438aafc05a59a44537a8fdec7a2913c66bb604fa30c91d2849369"),
+    },
+    "thm2:k=5,d=21": {
+        "edge-list": (4806690, "28dced86cae1c29bd2925f28f0db29015bbc1b6b836dc062f0e147e4b361dec6"),
+        "dot": (7675590, "9fb5a84c1bb32cede07208a2bc6c37e80978199c84cd91ef3f80fcfc3e0ee56f"),
+        "adjacency": (5075580, "490168b48a64dc7cbac0564d4ff8a4ba4b91720fd9f459c5dfebcd5abfee4467"),
+    },
+    "thm3:k=2,l=2,t=2,m=1": {
+        "edge-list": (868, "990773d79fe7505f1d675ad625cfacab2a671cbbebbd847cdcb70ae33b995ef3"),
+        "dot": (2022, "716acb228d42e3f57b0bc4ff99df98258ffad79f9b0f7425427c5df5fdfc4c47"),
+        "adjacency": (520, "6f013d7b60e9fc645457e35f7813d18b894fe35a0e69320d5715a7e892dbcb2e"),
+    },
+    "thm3:k=2,l=2,t=3,m=1": {
+        "edge-list": (6524, "0154f49b28e623e112431778e75427aeb5955c4822a6d11ce85ea594cfb64cb8"),
+        "dot": (13816, "706903fc9e5a7d694b10b23dec16df0917d90c4d846b23e464ba4ab85e01b26e"),
+        "adjacency": (3576, "375889b29b2e94e63a376245484da944f908f52356e36cf0f3f06432cff25f8b"),
+    },
+    "thm4:k=2,l=2,t=2,m=1": {
+        "edge-list": (682, "9272514ab03f1c45f68125e9d120420bdcd457890a02c491d10f48984e0076a4"),
+        "dot": (1618, "d59b67139b1df554f60175c1e3b8fb58d32602f189157dec26679719c56660ed"),
+        "adjacency": (768, "5e30808494f0540971bede40fee3785012f61cc15e008437fdb3ad3e45bda7cc"),
+    },
+    "empty": {
+        "edge-list": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        "dot": (146, "d59210a920ba74598056ce805c4b3b60c014f39eaf1e9bea2fa6758ef96e074c"),
+        "adjacency": (110, "64cbe7e15dc4ba5500deb812a0e1fa8f1072168adbb225eebee6ec799669e449"),
+    },
+}
+
+
+@pytest.mark.parametrize("spec_text", sorted(EXPORT_DIGESTS))
+def test_export_bytes_match_the_pinned_digests(spec_text):
+    if spec_text == "empty":
+        gens = GeneratorSet(GroupParams(2, 3), (), directed=True)
+    else:
+        gens = build(parse_spec(spec_text))
+    for fmt, (size, digest) in EXPORT_DIGESTS[spec_text].items():
+        data = export_graph(gens, fmt)
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest), fmt
+
+
+def test_export_peak_memory_does_not_grow_with_the_graph():
+    # a block holds about _BLOCK_ARCS labels, at most about 96 bytes each: the
+    # int64 label, three int64 scratch words and a flag byte; two to two and
+    # a half 8-byte row words per label with their byte masks; the selected
+    # output bytes; the kernel's neighbour block; so the bound is the same
+    # for 192 and 40,000 vertices (the digit tables, built on first use,
+    # fit in it too)
+    class Discard:
+        def write(self, data):
+            return len(data)
+
+    for spec_text in ("thm2:k=4,d=9", "thm2:k=5,d=21"):
+        gens = build(parse_spec(spec_text))
+        for fmt in ("edge-list", "dot", "adjacency"):
+            tracemalloc.start()
+            try:
+                cayley.write_graph(gens, fmt, Discard())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 96 * _BLOCK_ARCS, (spec_text, fmt, peak / _BLOCK_ARCS)
+
+
+_LITERALS = st.one_of(
+    st.just(b""),
+    st.binary(min_size=1, max_size=1),
+    st.binary(min_size=9, max_size=20),
+).map(lambda b: b.replace(b"\0", b"\1"))
+
+_LABELS = st.one_of(
+    st.integers(0, 17).flatmap(lambda p: st.sampled_from([10**p - 1, 10**p])),
+    st.integers(0, 10**18),
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rows_formatter_matches_percent_d(data):
+    # two blocks through one formatter, the second no longer than the first,
+    # against b"%d" row by row; labels up to 19 digits take up to three words
+    fields = data.draw(st.integers(1, 23))
+    literals = data.draw(st.lists(_LITERALS, min_size=fields + 1, max_size=fields + 1))
+    blocks = [
+        data.draw(st.lists(st.lists(_LABELS, min_size=fields, max_size=fields),
+                           min_size=1, max_size=4))
+    ]
+    blocks.append(data.draw(st.lists(
+        st.lists(_LABELS, min_size=fields, max_size=fields),
+        min_size=0, max_size=len(blocks[0]),
+    )))
+    largest = max(label for block in blocks for row in block for label in row)
+    largest = data.draw(st.integers(largest, 10**18))
+    rows = cayley._Rows(b"\0".join(literals), largest, len(blocks[0]))
+    for block in blocks:
+        out = io.BytesIO()
+        rows.values[:len(block)] = np.array(block, dtype=np.int64).reshape(-1, fields)
+        rows.write(out, len(block))
+        expected = b"".join(
+            literals[0] + b"".join(b"%d" % label + literal
+                                   for label, literal in zip(row, literals[1:]))
+            for row in block
+        )
+        assert out.getvalue() == expected
 
 
 def test_export_deterministic():
