@@ -32,15 +32,14 @@ costs n bytes plus window temporaries, a fixed few int64 words per arc of
 a window, in both directions.  Above the state cap the search refuses
 instead of degrading.  Exports walk the vertices through the same
 neighbour kernel in blocks of about as many labels, format each block as
-ASCII bytes with numpy (digits from a table of 4-digit quads, a byte mask
-dropping leading zeros) into buffers allocated once per export, and write
-those bytes, so their memory does not grow with the graph; they refuse
-above the cap in vertices or in arcs.
+ASCII bytes with numpy (one byte per digit place of the largest label, a
+byte mask dropping leading zeros) into buffers allocated once per export,
+and write those bytes, so their memory does not grow with the graph; they
+refuse above the cap in vertices or in arcs.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -390,95 +389,54 @@ def check_export_cap(gens: GeneratorSet, cap: int = DEFAULT_STATE_CAP) -> None:
         raise CapExceededError(arcs, cap, "arcs")
 
 
-@functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables of the export formatter, built on first use.
-
-    ``quads[0][q]`` is the int64 word whose first four bytes are the ASCII
-    digits of ``q`` (0 <= q < 10**4, zero-padded) and ``quads[1][q]`` the word
-    with them in its last four, so ``quads[0][x // 10**4] | quads[1][x % 10**4]``
-    spells x < 10**8 as eight digits, and ``keep[c]`` has its last c bytes 1
-    and the rest 0.
-    """
-    quad = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + ord("0")
-    halves = np.zeros((2, 10**4, 8), dtype=np.uint8)
-    halves[0, :, :4] = quad
-    halves[1, :, 4:] = quad
-    quads = halves.view(np.int64)[..., 0]
-    keep = (np.arange(8) >= 8 - np.arange(9)[:, None]).view(np.int64)[:, 0]
-    # every export shares these
-    quads.setflags(write=False)
-    keep.setflags(write=False)
-    return quads, keep
-
-
 class _Rows:
     """Rows of decimal labels between fixed ASCII literals, formatted by numpy.
 
     ``template`` is one row with a NUL byte where each label goes.  A row is
-    laid out in 8-byte words: each literal left-aligned in its own words,
-    each label zero-padded to as many words as the digits of ``largest``
-    need; a byte mask of the same shape keeps the literals and each
-    label's significant digits.  Both are allocated once, with the literals
-    in place, so a block rewrites only its label words and their masks, and
-    its bytes are one boolean selection of the word matrix.
+    laid out one byte per digit place: each label gets as many bytes as the
+    digits of ``largest``, between its literals; a keep mask of the same
+    shape keeps the literals and each label's significant digits.  Both are
+    allocated once, with the literals in place, so a block rewrites only its
+    label bytes and their masks, and its bytes are one boolean selection of
+    the row matrix.
     """
 
     def __init__(self, template: bytes, largest: int, capacity: int):
         literals = template.split(b"\0")
-        self._width = -(-len(str(largest)) // 8)
-        row, keep, columns = bytearray(), bytearray(), []
-        for i, literal in enumerate(literals):
-            pad = bytes(-len(literal) % 8)
-            row += literal + pad
-            keep += b"\1" * len(literal) + pad
-            if i < len(literals) - 1:
-                columns.append(len(row) // 8)
-                row += bytes(8 * self._width)
-                keep += bytes(8 * self._width)
-        self._columns = np.array(columns, dtype=np.intp)
+        self._digits = len(str(largest))
+        row = bytes(self._digits).join(literals)
+        # a label's units digit is always kept, its other places per block
+        keep = (bytes(self._digits - 1) + b"\1").join(b"\1" * len(lit) for lit in literals)
+        #: the column of each label's units digit
+        self._units = np.cumsum([len(lit) + self._digits for lit in literals[:-1]],
+                                dtype=np.intp) - 1
         #: the labels of the next block, one row per output row
-        self.values = np.empty((capacity, self._columns.size), dtype=np.int64)
-        self._words = np.empty((capacity, len(row) // 8), dtype=np.int64)
-        self._words[:] = np.frombuffer(row, dtype=np.int64)
-        self._keep = np.empty_like(self._words)
-        self._keep[:] = np.frombuffer(keep, dtype=np.int64)
-        self._scratch = np.empty((3, self.values.size), dtype=np.int64)
-        self._flags = np.empty(self.values.size, dtype=np.bool_)
-        #: 10**j for 1 <= j while 10**j <= largest: the powers a label passes
-        #: once it has more than j digits
-        self._powers = [10**j for j in range(1, len(str(largest)))]
+        self.values = np.empty((capacity, self._units.size), dtype=np.int64)
+        self._row = np.empty((capacity, len(row)), dtype=np.uint8)
+        self._row[:] = np.frombuffer(row, dtype=np.uint8)
+        self._keep = np.empty((capacity, len(row)), dtype=np.bool_)
+        self._keep[:] = np.frombuffer(keep, dtype=np.bool_)
+        #: two rows of quotients, taken in turn, and one of digits, so that a
+        #: block allocates no label-sized temporaries
+        self._scratch = np.empty((3, *self.values.shape), dtype=np.int64)
 
     def write(self, out: IO[bytes], count: int) -> None:
         """Write the first ``count`` rows of :attr:`values` to ``out``."""
-        quads, keep = _digit_tables()
         values = self.values[:count]
-        part, hi, lo = (a[:values.size].reshape(values.shape) for a in self._scratch)
-        flags = self._flags[:values.size].reshape(values.shape)
-        for k in range(self._width):
-            place = 8 * (self._width - 1 - k)
-            columns = self._columns + k
-            # the word's eight digits: the label's digits from 10**place up,
-            # less those of the words before it
-            np.floor_divide(values, 10**place, out=part)
-            if k:
-                np.remainder(part, 10**8, out=part)
-            np.divmod(part, 10**4, out=(hi, lo))
-            # every index is in range; "clip" lets take write straight to out
-            np.take(quads[0], hi, out=part, mode="clip")
-            np.take(quads[1], lo, out=hi, mode="clip")
-            part |= hi
-            self._words[:count, columns] = part
-            # how many of them to keep: one per power of ten in this word that
-            # the label reaches, and the units digit always
-            lo.fill(place == 0)
-            for power in self._powers[max(place - 1, 0):place + 7]:
-                np.greater_equal(values, power, out=flags)
-                lo += flags
-            np.take(keep, lo, out=part, mode="clip")
-            self._keep[:count, columns] = part
-        data = self._words[:count].view(np.uint8).ravel()
-        out.write(data[self._keep[:count].view(np.bool_).ravel()])
+        rest, digit = values, self._scratch[2, :count]
+        for place in range(self._digits):
+            columns = self._units - place
+            # the digit is rest - 10 * quotient: floor division by a scalar is
+            # fast where np.remainder by 10 is not
+            quotient = np.floor_divide(rest, 10, out=self._scratch[place % 2, :count])
+            np.multiply(quotient, -10, out=digit)
+            digit += rest
+            digit += ord("0")
+            self._row[:count, columns] = digit
+            if place:
+                self._keep[:count, columns] = values >= 10**place
+            rest = quotient
+        out.write(self._row[:count][self._keep[:count]])
 
 
 def write_graph(

@@ -421,6 +421,8 @@ def _parse_fields(body: str, head: str) -> dict[str, int]:
             raise SpecParseError(f"{head}: malformed parameter {part!r}")
         key, _, raw = part.partition("=")
         key = key.strip()
+        if key in fields:
+            raise SpecParseError(f"{head}: repeated key {key!r}")
         try:
             fields[key] = int(raw.strip())
         except ValueError:

@@ -616,12 +616,11 @@ def test_export_bytes_match_the_pinned_digests(spec_text):
 
 
 def test_export_peak_memory_does_not_grow_with_the_graph():
-    # a block holds about _BLOCK_ARCS labels, at most about 96 bytes each: the
-    # int64 label, three int64 scratch words and a flag byte; two to two and
-    # a half 8-byte row words per label with their byte masks; the selected
-    # output bytes; the kernel's neighbour block; so the bound is the same
-    # for 192 and 40,000 vertices (the digit tables, built on first use,
-    # fit in it too)
+    # a block holds about _BLOCK_ARCS labels, at most about 72 bytes each: the
+    # int64 label and three int64 scratch rows (two of quotients, one of
+    # digits); a row byte and a mask byte per digit and literal byte, 12 to
+    # 18 per five-digit label; the selected output bytes; the kernel's
+    # neighbour block; so the bound is the same for 192 and 40,000 vertices
     class Discard:
         def write(self, data):
             return len(data)
@@ -635,7 +634,7 @@ def test_export_peak_memory_does_not_grow_with_the_graph():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 96 * _BLOCK_ARCS, (spec_text, fmt, peak / _BLOCK_ARCS)
+            assert peak <= 72 * _BLOCK_ARCS, (spec_text, fmt, peak / _BLOCK_ARCS)
 
 
 _LITERALS = st.one_of(
@@ -654,7 +653,7 @@ _LABELS = st.one_of(
 @settings(max_examples=200, deadline=None)
 def test_rows_formatter_matches_percent_d(data):
     # two blocks through one formatter, the second no longer than the first,
-    # against b"%d" row by row; labels up to 19 digits take up to three words
+    # against b"%d" row by row; labels up to 19 digits get up to 19 bytes each
     fields = data.draw(st.integers(1, 23))
     literals = data.draw(st.lists(_LITERALS, min_size=fields + 1, max_size=fields + 1))
     blocks = [

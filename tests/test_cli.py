@@ -97,6 +97,13 @@ def test_parse_error_is_usage_error(capsys):
     assert "thmX" in err
 
 
+def test_repeated_spec_key_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "thm1:k=4,d=3,d=5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "repeated key 'd'" in err
+
+
 def test_class_overlap_is_invariant_failure(capsys):
     code, _, err = run_cli(capsys, "build", "thm4:k=2,l=3,t=2,m=2")
     assert code == EXIT_FAILURE

@@ -309,6 +309,8 @@ def test_parse_cor_resolves_to_thm3():
     "thm3:k=3,l=2,t=2",
     "cor:d=3",
     "thm1:k=4,d=3,m=1",
+    "thm1:k=4,d=3,d=5",
+    "cor:k=3,k=4",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(SpecParseError):
