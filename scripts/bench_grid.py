@@ -1,0 +1,79 @@
+"""Record the thm1 grid BFS: total BFS seconds, peak RSS and a histogram digest.
+
+    python3 scripts/bench_grid.py
+
+Verifies every ``thm1`` instance with k in {4, 5, 6} and order at most
+10**6 (99 instances, 24,011,655 vertices) by one BFS from the identity
+each, the whole grid three times, every run in a fresh child process that
+imports ``dbcayley`` from this checkout's ``src/``.  Appends one point to
+``BENCH_grid.json`` at the repository root: the commit, whether ``src/``
+differs from it, a digest of the package source, the machine, the grid's
+size, the sha256 of its histograms, and each run's total BFS wall seconds
+(building the generator sets is not timed) and each child's peak RSS.
+Takes about two seconds.
+"""
+
+from __future__ import annotations
+
+import json
+
+from benchpoint import append, run_child, stamp
+
+MAX_ORDER = 10**6
+RUNS = 3
+
+# the whole grid in a fresh interpreter; the histograms are digested as the
+# JSON list of [spec, histogram] pairs in grid order
+CHILD = """
+import hashlib, json, resource, sys, time
+from dbcayley import bfs_from_identity, build, parse_spec
+specs = sys.argv[1:]
+sets = [build(parse_spec(spec)) for spec in specs]
+histograms, bfs_s = [], 0.0
+for spec, gens in zip(specs, sets):
+    started = time.perf_counter()
+    result = bfs_from_identity(gens)
+    bfs_s += time.perf_counter() - started
+    histograms.append([spec, result.histogram])
+print(json.dumps({
+    "vertices": sum(gens.params.order() for gens in sets),
+    "histograms_sha256": hashlib.sha256(json.dumps(histograms).encode()).hexdigest(),
+    "bfs_s": round(bfs_s, 4),
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+}))
+"""
+
+
+def grid() -> list[str]:
+    """The ``thm1`` specs with k in {4, 5, 6} and every valid d of order <= MAX_ORDER.
+
+    The order is (k-1) * t**(k-1) with t = d - k + 3 >= 2.
+    """
+    specs = []
+    for k in (4, 5, 6):
+        t = 2
+        while (k - 1) * t ** (k - 1) <= MAX_ORDER:
+            specs.append(f"thm1:k={k},d={t + k - 3}")
+            t += 1
+    return specs
+
+
+def main() -> None:
+    specs = grid()
+    runs = [run_child(CHILD, *specs) for _ in range(RUNS)]
+    digests = {run["histograms_sha256"] for run in runs}
+    if len(digests) != 1:
+        raise SystemExit(f"runs disagree on the histograms: {digests}")
+    point = {
+        "instances": len(specs),
+        "vertices": runs[0]["vertices"],
+        "histograms_sha256": runs[0]["histograms_sha256"],
+        "bfs_s": [run["bfs_s"] for run in runs],
+        "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
+    }
+    print(json.dumps(point), flush=True)
+    append("BENCH_grid.json", {**stamp(), "grid": point})
+
+
+if __name__ == "__main__":
+    main()

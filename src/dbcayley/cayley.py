@@ -24,8 +24,12 @@ unseen vertices, every unseen vertex v, read window by window, looks for
 an in-neighbour v * s^-1 on that level, through a second kernel over the
 inverse generators, one generator at a time, and stops at the first one
 found.  For each shift of v the generators are tried in order of how many
-frontier vertices sit at their in-neighbour's shift, so on the paper's
-families nearly every vertex is settled by its first evaluation.  Either
+frontier vertices sit at their in-neighbour's shift.  The pure cyclic
+shifts (0; s), which every family of the paper has, change only the shift,
+so while they lead that order they are read as slices: a window's
+in-neighbours are the same window of another shift's block, compared byte
+for byte, and only the vertices they leave unseen go through the kernel.
+On the paper's families nearly every vertex is settled that way.  Either
 way a level is counted per shift by one pass over the map, and the map
 and those r counts are the only state kept between levels, so the search
 costs n bytes plus window temporaries, a fixed few int64 words per arc of
@@ -156,9 +160,13 @@ class _NeighborKernel:
         thresholds = self.thresholds[rows, r - su:2 * r - su]
         nb = vec + addends[:, None]
         for place in np.flatnonzero((thresholds < t).any(axis=0)).tolist():
+            # the digit is q - t * (q // t): floor division by a scalar is fast
+            # where np.remainder is not
+            q = vec // t**place if place else vec
+            digit = q - q // t * t
             np.subtract(
                 nb, t ** (place + 1), out=nb,
-                where=vec // t**place % t >= thresholds[:, place, None],
+                where=digit >= thresholds[:, place, None],
             )
         return nb
 
@@ -193,9 +201,15 @@ def _bottom_up_level(
     are tried one at a time, most populous in-neighbour shift first (stably,
     by ``frontier``, the per-shift counts of level ``code - 1``; a shift
     without frontier vertices is skipped), and a vertex drops out as soon
-    as it is found.
+    as it is found.  The pure shifts (0; s) that lead this order are read
+    as slices: the in-neighbour of (x; su) is (x; su + s), so a window's
+    in-neighbours are the same window of another shift block.  Only the
+    vertices those leave unseen go through the kernel.
     """
     base = inverse.base
+    mark = level_map.dtype.type(code)
+    # a zero vector leaves every carry threshold at t
+    translation = (inverse.thresholds == inverse.t).all(axis=1)
     for su in range(frontier.size):
         # inverse generator j leads from shift su to shift addends[su, j] // base
         density = frontier[inverse.addends[su] // base]
@@ -203,14 +217,31 @@ def _bottom_up_level(
         order = order[density[order] > 0]
         if order.size == 0:
             continue
-        for vec in _windows(level_map, su, 0, base):
-            for j in order.tolist():
-                (nb,) = inverse.neighbors(su, vec, [j])
-                hit = level_map[nb] == code - 1
-                level_map[vec[hit] + su * base] = code
-                vec = vec[~hit]
+        leading = np.logical_and.accumulate(translation[order])
+        # a pure shift's in-neighbour index is the vertex's vector part plus this
+        offsets = inverse.addends[su, order[leading]].tolist()
+        rows = order[~leading].tolist()
+        block = level_map[su * base:(su + 1) * base]
+        for lo in range(0, base, _BLOCK_ARCS):
+            window = block[lo:lo + _BLOCK_ARCS]
+            unseen = window == 0
+            for off in offsets:
+                hit = level_map[off + lo:off + lo + window.size] == code - 1
+                hit &= unseen
+                # hit entries are 0: adding marks them, much faster than a
+                # masked store
+                window += hit * mark
+                unseen ^= hit
+            if not rows:
+                continue
+            vec = np.flatnonzero(unseen) + lo
+            for j in rows:
                 if not vec.size:
                     break
+                (nb,) = inverse.neighbors(su, vec, [j])
+                hit = level_map[nb] == code - 1
+                block[vec[hit]] = code
+                vec = vec[~hit]
 
 
 def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -> None:

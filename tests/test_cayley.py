@@ -283,15 +283,9 @@ def bfs_cases(draw):
     return gens, source
 
 
-@settings(max_examples=100, deadline=None)
-@given(bfs_cases())
-def test_bfs_matches_scalar_bfs_in_both_directions(case):
-    # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
-    # the first ones of the larger groups top-down; block sizes of 1 and 7
-    # split every shift into windows in both directions and a top-down
-    # window's generators into chunks, and the real size splits neither
-    # here; bottom-up chunks are always one generator row
-    gens, source = case
+def _check_bfs_against_scalar(gens, source):
+    """Distances and histogram, or the disconnection fields, equal the scalar BFS's
+    at block sizes of 1, 7 and the real one."""
     params = gens.params
     n = params.order()
     levels = scalar_levels(gens, source)
@@ -310,6 +304,39 @@ def test_bfs_matches_scalar_bfs_in_both_directions(case):
                     bfs_from(gens, source)
                 assert excinfo.value.unreachable == n - len(levels), block_arcs
                 assert excinfo.value.histogram == histogram, block_arcs
+
+
+@settings(max_examples=100, deadline=None)
+@given(bfs_cases())
+def test_bfs_matches_scalar_bfs_in_both_directions(case):
+    # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
+    # the first ones of the larger groups top-down; block sizes of 1 and 7
+    # split every shift into windows in both directions and a top-down
+    # window's generators into chunks, and the real size splits neither
+    # here; bottom-up chunks are always one generator row
+    _check_bfs_against_scalar(*case)
+
+
+@st.composite
+def pure_shift_cases(draw):
+    """A case of :func:`bfs_cases` with one to three pure shifts (0; s) added,
+    the identity (s = 0) among them at times, in a random generator order."""
+    gens, source = draw(bfs_cases())
+    params = gens.params
+    shifts = draw(st.lists(st.integers(0, params.r - 1), min_size=1, max_size=3))
+    elements = [*gens.elements, *(params.element([0] * params.r, s) for s in shifts)]
+    gens = GeneratorSet(params, tuple(draw(st.permutations(elements))), directed=True)
+    return gens, source
+
+
+@settings(max_examples=60, deadline=None)
+@given(pure_shift_cases())
+def test_bfs_with_pure_shifts_matches_scalar_bfs(case):
+    # bottom-up reads the pure shifts that lead a shift's density order as
+    # slices of the level map and sends the rest through the kernel: here
+    # they lead or follow other rows, and a block size of 7 leaves a short
+    # last window in shift blocks of 9 to 625 entries
+    _check_bfs_against_scalar(*case)
 
 
 def test_bottom_up_runs_only_where_the_frontier_is_large(monkeypatch):
@@ -389,34 +416,53 @@ def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
     assert peaks[0] <= bound, (peaks[0], bound)
 
 
-@pytest.mark.parametrize("spec_text, found", [
-    ("thm1:k=4,d=10", 1216),
-    ("thm1:k=4,d=70", 642736),
-])
-def test_bottom_up_evaluates_one_generator_row_per_call(monkeypatch, spec_text, found):
-    # on these last levels every unseen vertex is settled by the first
-    # in-neighbour it tries, so one row per call costs one evaluation per
-    # vertex found
-    rows, evaluations = set(), []
+def _spy_bottom_up(monkeypatch):
+    """Per bottom-up level, the number of generator rows of each kernel call."""
+    levels = []
     kernel_neighbors = _NeighborKernel.neighbors
     bottom_up_level = cayley._bottom_up_level
 
     def spy(self, su, vec, selected):
         nb = kernel_neighbors(self, su, vec, selected)
-        rows.add(len(nb))
-        evaluations.append(nb.size)
+        levels[-1].append(len(nb))
         return nb
 
     def bottom_up(*args):
+        levels.append([])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_NeighborKernel, "neighbors", spy)
             bottom_up_level(*args)
 
     monkeypatch.setattr(cayley, "_bottom_up_level", bottom_up)
-    histogram = bfs_from_identity(build(parse_spec(spec_text))).histogram
-    assert histogram[-1] == found
-    assert rows == {1}
-    assert sum(evaluations) == found
+    return levels
+
+
+@pytest.mark.parametrize("spec_text, histogram", [
+    ("thm1:k=4,d=10", [1, 10, 96, 864, 1216]),
+    ("thm1:k=4,d=70", [1, 70, 4896, 337824, 642736]),
+], ids=["thm1:k=4,d=10", "thm1:k=4,d=70"])
+def test_bottom_up_settles_leading_pure_shifts_without_the_kernel(
+    monkeypatch, spec_text, histogram
+):
+    # on these last levels the pure shift (0; 1) leads every shift's density
+    # order and finds every unseen vertex's in-neighbour by a slice of the
+    # level map, so the kernel never runs
+    levels = _spy_bottom_up(monkeypatch)
+    assert bfs_from_identity(build(parse_spec(spec_text))).histogram == histogram
+    assert levels == [[]]
+
+
+def test_bottom_up_evaluates_one_generator_row_per_call(monkeypatch):
+    # levels 4 and 5 are found bottom-up; on level 4, 21,141 unseen vertices
+    # have no in-neighbour on level 3, so the rows after the leading pure
+    # shifts run through the kernel, one row per call; the pure shifts alone
+    # settle level 5
+    levels = _spy_bottom_up(monkeypatch)
+    histogram = bfs_from_identity(build(parse_spec("thm2:k=5,d=21"))).histogram
+    assert histogram == [1, 21, 252, 2709, 15876, 21141]
+    assert len(levels) == 2
+    assert levels[0] and set(levels[0]) == {1}
+    assert levels[1] == []
 
 
 # --- neighbour kernel ------------------------------------------------------------
