@@ -5,7 +5,9 @@
 Verifies every ``thm1`` instance with k in {4, 5, 6} and order at most
 10**6 (99 instances, 24,011,655 vertices) by one BFS from the identity
 each, the whole grid three times, every run in a fresh child process that
-imports ``dbcayley`` from this checkout's ``src/``.  Appends one point to
+imports ``dbcayley`` from this checkout's ``src/``.  The grid is the
+benchmark's ``bfs-digits`` workload, read from ``perfbench/workloads.py``
+so that the two cannot drift apart.  Appends one point to
 ``BENCH_grid.json`` at the repository root: the commit, whether ``src/``
 differs from it, a digest of the package source, the machine, the grid's
 size, the sha256 of its histograms, and each run's total BFS wall seconds
@@ -16,10 +18,14 @@ Takes about two seconds.
 from __future__ import annotations
 
 import json
+import os
+import sys
 
-from benchpoint import append, run_child, stamp
+from benchpoint import ROOT, append, run_child, stamp
 
-MAX_ORDER = 10**6
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+from workloads import thm1_grid  # noqa: E402
+
 RUNS = 3
 
 # the whole grid in a fresh interpreter; the histograms are digested as the
@@ -44,22 +50,8 @@ print(json.dumps({
 """
 
 
-def grid() -> list[str]:
-    """The ``thm1`` specs with k in {4, 5, 6} and every valid d of order <= MAX_ORDER.
-
-    The order is (k-1) * t**(k-1) with t = d - k + 3 >= 2.
-    """
-    specs = []
-    for k in (4, 5, 6):
-        t = 2
-        while (k - 1) * t ** (k - 1) <= MAX_ORDER:
-            specs.append(f"thm1:k={k},d={t + k - 3}")
-            t += 1
-    return specs
-
-
 def main() -> None:
-    specs = grid()
+    specs = thm1_grid()
     runs = [run_child(CHILD, *specs) for _ in range(RUNS)]
     digests = {run["histograms_sha256"] for run in runs}
     if len(digests) != 1:

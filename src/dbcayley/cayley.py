@@ -14,27 +14,24 @@ unseen; widened once should a level pass 254), plus transients.  The
 search stops once every vertex is reached, so the last level is counted
 but never expanded; dense distances are built only when asked for.
 
-Each level is found in one of two directions (Beamer et al., SC'12), and
-both read the map the same way: one shift at a time, in windows of 2**16
-entries, taking the vector parts of the vertices at one code.  Top down,
-the level before it is read window by window and expanded: frontier x
-degree neighbour evaluations in generator-major chunks of about 2**16
-arcs.  Bottom up, chosen once 14 times the level before outnumbers the
-unseen vertices, every unseen vertex v, read window by window, looks for
-an in-neighbour v * s^-1 on that level, through a second kernel over the
-inverse generators, one generator at a time, and stops at the first one
-found.  For each shift of v the generators are tried in order of how many
-frontier vertices sit at their in-neighbour's shift.  The pure cyclic
-shifts (0; s), which every family of the paper has, change only the shift,
-so while they lead that order they are read as slices: a window's
-in-neighbours are the same window of another shift's block, compared byte
-for byte, and only the vertices they leave unseen go through the kernel.
-On the paper's families nearly every vertex is settled that way.  Either
-way a level is counted per shift by one pass over the map, and the map
-and those r counts are the only state kept between levels, so the search
-costs n bytes plus window temporaries, a fixed few int64 words per arc of
-a window, in both directions.  Above the state cap the search refuses
-instead of degrading.  Exports walk the vertices through the same
+Each level is found top-down, and the map is read the same way
+throughout: one shift at a time, in windows of 2**16 entries.  The level
+before it is read window by window, taking the vector parts of the
+vertices at its code, and expanded: frontier x degree neighbour
+evaluations in generator-major chunks of about 2**16 arcs, through the
+one neighbour kernel.  Once 14 times the level before outnumbers the
+unseen vertices, a slice pass runs first.  The pure cyclic shifts
+(0; s), which every family of the paper has, change only the shift, so
+the in-neighbours of a window through them are the same window of
+another shift's block: every unseen vertex whose in-neighbour is on the
+level before is marked by comparing those bytes, with no neighbour index
+formed.  Top-down then runs only if some vertex is left unseen; on every
+instance of the thm1 grid the slice pass alone finds the last level.  A
+level is counted by one pass over the map, and the map is the only state
+kept between levels, so the search costs n bytes plus window
+temporaries: a fixed few int64 words per arc of a window top-down, a few
+bytes per entry in the slice pass.  Above the state cap the search
+refuses instead of degrading.  Exports walk the vertices through the same
 neighbour kernel in blocks of about as many labels, format each block as
 ASCII bytes with numpy (one byte per digit place of the largest label, a
 byte mask dropping leading zeros) into buffers allocated once per export,
@@ -126,13 +123,13 @@ class _NeighborKernel:
         self.t = t
         self.base = t**r
         d = len(gens.elements)
-        # vector codes of the generators, and their target-shift offsets per
-        # source shift; alpha^su rotates the code's top su digits to the bottom
-        codes = np.array(
-            [params.encode(GroupElement(vec, 0)) for vec, _ in gens.elements],
-            dtype=np.int64,
+        # shifts and vector codes of the generators, from their dense indices
+        # (encode refuses non-canonical residues), and their target-shift
+        # offsets per source shift; alpha^su rotates the code's top su digits
+        # to the bottom
+        shifts, codes = np.divmod(
+            np.array([params.encode(s) for s in gens.elements], dtype=np.int64), self.base
         )
-        shifts = np.array([sv for _, sv in gens.elements], dtype=np.int64)
         su = np.arange(r, dtype=np.int64)[:, None]
         low = t ** (r - su)
         #: (r, d): the dense index of (alpha^su(v); su + sv) per source shift
@@ -171,8 +168,8 @@ class _NeighborKernel:
         return nb
 
 
-#: a level is found bottom-up once the level before it, times this factor,
-#: outnumbers the vertices still unseen (Beamer et al., SC'12)
+#: a level runs the slice pass first once the level before it, times this
+#: factor, outnumbers the vertices still unseen
 _ALPHA = 14
 
 
@@ -191,57 +188,32 @@ def _windows(level_map: np.ndarray, su: int, code: int, base: int):
             yield vec
 
 
-def _bottom_up_level(
-    level_map: np.ndarray, inverse: _NeighborKernel, code: int, frontier: np.ndarray
-) -> None:
-    """Mark ``code`` on every unseen vertex with an in-neighbour at ``code - 1``.
+def _slice_level(level_map: np.ndarray, shifts: list[int], code: int, base: int) -> int:
+    """Mark ``code`` on every unseen (x; su) whose (x; su - s) is at ``code - 1``
+    for a pure shift (0; s) of ``shifts``; return how many stay unseen.
 
-    ``inverse`` is the kernel over the inverse generators, so its rows are
-    the in-neighbours v * s^-1 of v.  For each source shift the generators
-    are tried one at a time, most populous in-neighbour shift first (stably,
-    by ``frontier``, the per-shift counts of level ``code - 1``; a shift
-    without frontier vertices is skipped), and a vertex drops out as soon
-    as it is found.  The pure shifts (0; s) that lead this order are read
-    as slices: the in-neighbour of (x; su) is (x; su + s), so a window's
-    in-neighbours are the same window of another shift block.  Only the
-    vertices those leave unseen go through the kernel.
+    Right-multiplying by (0; s) changes only the shift, so a window's
+    in-neighbours through it are the same window of another shift's block,
+    compared byte for byte; no neighbour index is formed.
     """
-    base = inverse.base
+    r = level_map.size // base
     mark = level_map.dtype.type(code)
-    # a zero vector leaves every carry threshold at t
-    translation = (inverse.thresholds == inverse.t).all(axis=1)
-    for su in range(frontier.size):
-        # inverse generator j leads from shift su to shift addends[su, j] // base
-        density = frontier[inverse.addends[su] // base]
-        order = np.argsort(-density, kind="stable")
-        order = order[density[order] > 0]
-        if order.size == 0:
-            continue
-        leading = np.logical_and.accumulate(translation[order])
-        # a pure shift's in-neighbour index is the vertex's vector part plus this
-        offsets = inverse.addends[su, order[leading]].tolist()
-        rows = order[~leading].tolist()
+    unseen_left = 0
+    for su in range(r):
         block = level_map[su * base:(su + 1) * base]
+        sources = [(su - s) % r * base for s in shifts]
         for lo in range(0, base, _BLOCK_ARCS):
             window = block[lo:lo + _BLOCK_ARCS]
             unseen = window == 0
-            for off in offsets:
-                hit = level_map[off + lo:off + lo + window.size] == code - 1
+            for src in sources:
+                hit = level_map[src + lo:src + lo + window.size] == code - 1
                 hit &= unseen
                 # hit entries are 0: adding marks them, much faster than a
                 # masked store
                 window += hit * mark
                 unseen ^= hit
-            if not rows:
-                continue
-            vec = np.flatnonzero(unseen) + lo
-            for j in rows:
-                if not vec.size:
-                    break
-                (nb,) = inverse.neighbors(su, vec, [j])
-                hit = level_map[nb] == code - 1
-                block[vec[hit]] = code
-                vec = vec[~hit]
+            unseen_left += int(np.count_nonzero(unseen))
+    return unseen_left
 
 
 def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -> None:
@@ -266,50 +238,42 @@ def bfs_from(
     Level-synchronous BFS that stops as soon as every vertex is reached:
     the last level is filled in while the one before it is expanded, and is
     itself never expanded.  Each level is found top-down, by expanding the
-    level before it, or bottom-up (:func:`_bottom_up_level`) once that level
-    is large against the vertices still unseen; either way the level map is
-    the only state carried from one level to the next besides its per-shift
-    counts, and it is read in windows (:func:`_windows`).
+    level before it (:func:`_top_down_level`).  Once that level is large
+    against the vertices still unseen, the slice pass
+    (:func:`_slice_level`) runs first and settles every vertex a pure
+    shift reaches, and top-down runs only if some stay unseen.  The level
+    map is the only state carried from one level to the next, and it is
+    read in windows (:func:`_windows`).
     """
     params = gens.params
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
     kernel = _NeighborKernel(gens)
-    base = kernel.base
-    inverse = None
+    # the pure cyclic shifts (0; s), which the slice pass reads
+    shifts = [sv for vec, sv in gens.elements if not any(vec)]
 
     # level + 1 per vertex, 0 while unseen; one byte until a pathological
     # (non-construction) set goes past level 254, then wide enough for n
     level_map = np.zeros(n, dtype=np.uint8)
-    source_index = params.encode(source)
-    level_map[source_index] = 1
-    # per shift: the vertices reached so far, and those of the last level;
-    # Python lists keep these off the malloc heap that window temporaries reuse
-    seen = [0] * params.r
-    seen[source_index // base] = 1
-    last = seen
+    level_map[params.encode(source)] = 1
+    reached = 1
     histogram = [1]
-    while (unseen := n - sum(seen)):
+    while (unseen := n - reached):
         code = len(histogram) + 1
         if code > np.iinfo(level_map.dtype).max:
             level_map = level_map.astype(np.min_scalar_type(n))
         if _ALPHA * histogram[-1] > unseen:
-            if inverse is None:
-                inverse = _NeighborKernel(GeneratorSet(
-                    params, tuple(params.inv(s) for s in gens.elements), gens.directed
-                ))
-            _bottom_up_level(level_map, inverse, code, np.array(last))
-        else:
+            unseen = _slice_level(level_map, shifts, code, kernel.base)
+        if unseen:
             _top_down_level(level_map, kernel, code)
         # a top-down chunk can reach one vertex twice, so count the level
         # once, here: every vertex seen so far is nonzero in the map
-        now = [int(np.count_nonzero(level_map[lo:lo + base])) for lo in range(0, n, base)]
-        last = [a - b for a, b in zip(now, seen)]
-        seen = now
-        if not any(last):
-            raise DisconnectedGraphError(unseen, histogram)
-        histogram.append(sum(last))
+        now = int(np.count_nonzero(level_map))
+        if now == reached:
+            raise DisconnectedGraphError(n - reached, histogram)
+        histogram.append(now - reached)
+        reached = now
 
     distances = None
     if want_distances:

@@ -120,12 +120,22 @@ class GroupParams:
         return GroupElement(vec, (-x.shift) % self.r)
 
     def encode(self, x: GroupElement) -> int:
-        """Dense index of ``x`` in [0, r * t**r) under the normative layout."""
+        """Dense index of ``x`` in [0, r * t**r) under the normative layout.
+
+        Residues must be canonical, as :meth:`element` makes them: a
+        coordinate outside [0, t) or a shift outside [0, r) would alias
+        another element's index, so either is refused.
+        """
         self._check_member(x)
+        t = self.t
         value = 0
         for coord in reversed(x.vector):
-            value = value * self.t + coord
-        return x.shift * self.t**self.r + value
+            if not 0 <= coord < t:
+                raise ParameterError(f"coordinate {coord} outside [0, {t})")
+            value = value * t + coord
+        if not 0 <= x.shift < self.r:
+            raise ParameterError(f"shift {x.shift} outside [0, {self.r})")
+        return x.shift * t**self.r + value
 
     def decode(self, index: int) -> GroupElement:
         """Inverse of :meth:`encode`."""

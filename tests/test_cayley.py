@@ -1,5 +1,6 @@
 """Implicit-graph operations: BFS, reports, exports."""
 
+import collections
 import hashlib
 import io
 import random
@@ -15,6 +16,7 @@ from dbcayley import (
     CapExceededError,
     DisconnectedGraphError,
     GeneratorSet,
+    GroupElement,
     GroupParams,
     ParameterError,
     bfs_from,
@@ -309,11 +311,11 @@ def _check_bfs_against_scalar(gens, source):
 @settings(max_examples=100, deadline=None)
 @given(bfs_cases())
 def test_bfs_matches_scalar_bfs_in_both_directions(case):
-    # groups of 8 to 2,500 vertices: most levels here are found bottom-up,
-    # the first ones of the larger groups top-down; block sizes of 1 and 7
-    # split every shift into windows in both directions and a top-down
-    # window's generators into chunks, and the real size splits neither
-    # here; bottom-up chunks are always one generator row
+    # groups of 8 to 2,500 vertices: most levels here run the slice pass
+    # before top-down (with no pure shift it settles nothing), the first ones
+    # of the larger groups top-down only; block sizes of 1 and 7 split every
+    # shift into windows in both passes and a top-down window's generators
+    # into chunks, and the real size splits neither here
     _check_bfs_against_scalar(*case)
 
 
@@ -332,39 +334,118 @@ def pure_shift_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(pure_shift_cases())
 def test_bfs_with_pure_shifts_matches_scalar_bfs(case):
-    # bottom-up reads the pure shifts that lead a shift's density order as
-    # slices of the level map and sends the rest through the kernel: here
-    # they lead or follow other rows, and a block size of 7 leaves a short
-    # last window in shift blocks of 9 to 625 entries
+    # the slice pass reads every pure shift as slices of the level map and
+    # leaves the rest to top-down: here the identity is at times among them,
+    # a shift may repeat, and a block size of 7 leaves a short last window
+    # in shift blocks of 9 to 625 entries
     _check_bfs_against_scalar(*case)
 
 
-def test_bottom_up_runs_only_where_the_frontier_is_large(monkeypatch):
-    steps = []
-    bottom_up_level = cayley._bottom_up_level
+def _spy_levels(monkeypatch):
+    """The passes of each BFS, as (pass, level) pairs in call order, and the
+    kernel evaluations (neighbour indices formed) per level."""
+    passes, evaluations = [], collections.Counter()
+    kernel_neighbors = _NeighborKernel.neighbors
+    slice_level, top_down_level = cayley._slice_level, cayley._top_down_level
 
-    def spy(*args):
-        steps.append(args[2])
-        return bottom_up_level(*args)
+    def neighbors(self, su, vec, selected):
+        nb = kernel_neighbors(self, su, vec, selected)
+        evaluations[passes[-1][1]] += nb.size
+        return nb
 
-    monkeypatch.setattr(cayley, "_bottom_up_level", spy)
-    for spec_text, histogram, bottom_up in [
-        ("thm1:k=4,d=10", [1, 10, 96, 864, 1216], True),
-        # the last step: 15,876 frontier vertices, 21,141 unseen
-        ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141], True),
-        ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600], False),
+    def slice_pass(level_map, shifts, code, base):
+        passes.append(("slice", code - 1))
+        return slice_level(level_map, shifts, code, base)
+
+    def top_down(level_map, kernel, code):
+        passes.append(("top-down", code - 1))
+        top_down_level(level_map, kernel, code)
+
+    monkeypatch.setattr(_NeighborKernel, "neighbors", neighbors)
+    monkeypatch.setattr(cayley, "_slice_level", slice_pass)
+    monkeypatch.setattr(cayley, "_top_down_level", top_down)
+    return passes, evaluations
+
+
+def test_slice_pass_runs_only_where_the_frontier_is_large(monkeypatch):
+    passes, _ = _spy_levels(monkeypatch)
+    for spec_text, histogram, sliced in [
+        # the last level: 864 frontier vertices, 1,216 unseen
+        ("thm1:k=4,d=10", [1, 10, 96, 864, 1216], [4]),
+        # 14 x 2,709 > 37,017 unseen, then 14 x 15,876 > 21,141
+        ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141], [4, 5]),
+        ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600], []),
     ]:
-        steps.clear()
+        passes.clear()
         result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
         assert result.histogram == histogram, spec_text
         assert np.bincount(result.distances).tolist() == histogram, spec_text
-        assert bool(steps) == bottom_up, spec_text
+        assert [level for name, level in passes if name == "slice"] == sliced, spec_text
+
+
+@pytest.mark.parametrize("spec_text, histogram", [
+    ("thm1:k=4,d=10", [1, 10, 96, 864, 1216]),
+    ("thm1:k=4,d=70", [1, 70, 4896, 337824, 642736]),
+], ids=["thm1:k=4,d=10", "thm1:k=4,d=70"])
+def test_slice_pass_settles_the_last_level_without_the_kernel(
+    monkeypatch, spec_text, histogram
+):
+    # the pure shifts reach every vertex of the last level from the level
+    # before it, so the slice pass leaves none unseen and top-down never runs
+    passes, evaluations = _spy_levels(monkeypatch)
+    assert bfs_from_identity(build(parse_spec(spec_text))).histogram == histogram
+    last = len(histogram) - 1
+    assert passes[-1] == ("slice", last)
+    assert ("top-down", last) not in passes
+    assert evaluations[last] == 0
+
+
+def test_top_down_runs_after_the_slice_pass_only_where_vertices_stay_unseen(monkeypatch):
+    # on level 4 the pure shifts leave 32,076 of 37,017 vertices unseen, among
+    # them the 21,141 of level 5, so top-down expands all 2,709 vertices of
+    # level 3 through the 21 generators; the pure shifts alone settle level 5
+    passes, evaluations = _spy_levels(monkeypatch)
+    histogram = bfs_from_identity(build(parse_spec("thm2:k=5,d=21"))).histogram
+    assert histogram == [1, 21, 252, 2709, 15876, 21141]
+    assert passes[-3:] == [("slice", 4), ("top-down", 4), ("slice", 5)]
+    assert evaluations[4] == 2709 * 21 == 56_889
+    assert evaluations[5] == 0
+
+
+def test_slice_pass_peak_memory_follows_the_window_model(monkeypatch):
+    # a slice level holds the level map (1 byte per vertex) and byte masks
+    # over one _BLOCK_ARCS window: its unseen entries, a slice's hits and
+    # those hits times the level code, within a fourth byte; no index array
+    # is formed
+    gens = build(parse_spec("thm1:k=4,d=70"))
+    n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
+    peaks = []
+    slice_level = cayley._slice_level
+
+    def stepped(*args):
+        tracemalloc.reset_peak()
+        unseen = slice_level(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return unseen
+
+    monkeypatch.setattr(cayley, "_slice_level", stepped)
+    tracemalloc.start()
+    try:
+        histogram = bfs_from_identity(gens).histogram
+    finally:
+        tracemalloc.stop()
+    assert histogram == [1, 70, 4896, 337824, 642736]
+    assert len(peaks) == 1  # the last level
+    # plus the kernel's int64 tables, (r, d) addends and (d, 2r) thresholds
+    bound = n + 4 * _BLOCK_ARCS + 3 * 8 * r * d
+    assert peaks[0] <= bound, (peaks[0] - n) / _BLOCK_ARCS
 
 
 def test_top_down_chunks_follow_the_block_size(monkeypatch):
     # _BLOCK_ARCS is read when a level runs: at one arc per block, every
-    # window of the two top-down levels (19 generators) is expanded one
-    # generator row at a time, and so is the bottom-up last level
+    # window of the three top-down levels (19 generators) holds one vertex
+    # and is expanded one generator row at a time; the last level runs the
+    # slice pass first, which leaves 378 of its 680 vertices to top-down
     levels, rows = [], []
     kernel_neighbors = _NeighborKernel.neighbors
     top_down_level = cayley._top_down_level
@@ -383,86 +464,25 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
     monkeypatch.setattr(cayley, "_BLOCK_ARCS", 1)
     result = bfs_from_identity(build(parse_spec("thm3:k=3,l=3,t=2,m=1")))
     assert result.histogram == [1, 19, 196, 680]
-    assert levels == [2, 3]
-    assert len(rows) >= 19 * (1 + 19)
+    assert levels == [2, 3, 4]
+    assert len(rows) == 19 * (1 + 19 + 196)
     assert set(rows) == {1}
 
 
-def test_bottom_up_peak_memory_follows_the_window_model(monkeypatch):
-    # a bottom-up level holds the level map (1 byte per vertex) and window
-    # temporaries: the window's unseen indices, a chunk of neighbour indices,
-    # a digit and its quotient (thm1's inverse generators have at most one
-    # nonzero digit), four int64 words per arc of a _BLOCK_ARCS window, plus
-    # byte masks, within a fifth word
-    gens = build(parse_spec("thm1:k=4,d=70"))
-    n = gens.params.order()
-    peaks = []
-    bottom_up_level = cayley._bottom_up_level
-
-    def stepped(*args):
-        tracemalloc.reset_peak()
-        bottom_up_level(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-
-    monkeypatch.setattr(cayley, "_bottom_up_level", stepped)
-    tracemalloc.start()
-    try:
-        histogram = bfs_from_identity(gens).histogram
-    finally:
-        tracemalloc.stop()
-    assert histogram == [1, 70, 4896, 337824, 642736]
-    assert len(peaks) == 1  # the last level, found bottom-up after a top-down one
-    bound = n + 5 * 8 * _BLOCK_ARCS
-    assert peaks[0] <= bound, (peaks[0], bound)
-
-
-def _spy_bottom_up(monkeypatch):
-    """Per bottom-up level, the number of generator rows of each kernel call."""
-    levels = []
-    kernel_neighbors = _NeighborKernel.neighbors
-    bottom_up_level = cayley._bottom_up_level
-
-    def spy(self, su, vec, selected):
-        nb = kernel_neighbors(self, su, vec, selected)
-        levels[-1].append(len(nb))
-        return nb
-
-    def bottom_up(*args):
-        levels.append([])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_NeighborKernel, "neighbors", spy)
-            bottom_up_level(*args)
-
-    monkeypatch.setattr(cayley, "_bottom_up_level", bottom_up)
-    return levels
-
-
-@pytest.mark.parametrize("spec_text, histogram", [
-    ("thm1:k=4,d=10", [1, 10, 96, 864, 1216]),
-    ("thm1:k=4,d=70", [1, 70, 4896, 337824, 642736]),
-], ids=["thm1:k=4,d=10", "thm1:k=4,d=70"])
-def test_bottom_up_settles_leading_pure_shifts_without_the_kernel(
-    monkeypatch, spec_text, histogram
-):
-    # on these last levels the pure shift (0; 1) leads every shift's density
-    # order and finds every unseen vertex's in-neighbour by a slice of the
-    # level map, so the kernel never runs
-    levels = _spy_bottom_up(monkeypatch)
-    assert bfs_from_identity(build(parse_spec(spec_text))).histogram == histogram
-    assert levels == [[]]
-
-
-def test_bottom_up_evaluates_one_generator_row_per_call(monkeypatch):
-    # levels 4 and 5 are found bottom-up; on level 4, 21,141 unseen vertices
-    # have no in-neighbour on level 3, so the rows after the leading pure
-    # shifts run through the kernel, one row per call; the pure shifts alone
-    # settle level 5
-    levels = _spy_bottom_up(monkeypatch)
-    histogram = bfs_from_identity(build(parse_spec("thm2:k=5,d=21"))).histogram
-    assert histogram == [1, 21, 252, 2709, 15876, 21141]
-    assert len(levels) == 2
-    assert levels[0] and set(levels[0]) == {1}
-    assert levels[1] == []
+def test_bfs_refuses_non_canonical_generators():
+    # with t = 2 the coordinate 3 would alias 1, so this set would reach
+    # [1, 2, 4, 7, 7, 3] where its canonical form reaches [1, 2, 4, 6, 7, 4]
+    params = GroupParams(2, 3)
+    gens = GeneratorSet(
+        params, (GroupElement((3, 0, 0), 1), GroupElement((0, 0, 0), 2)), directed=True
+    )
+    assert validate(gens).ok
+    with pytest.raises(ParameterError):
+        bfs_from_identity(gens)
+    canonical = GeneratorSet(
+        params, tuple(params.element(*s) for s in gens.elements), directed=True
+    )
+    assert bfs_from_identity(canonical).histogram == [1, 2, 4, 6, 7, 4]
 
 
 # --- neighbour kernel ------------------------------------------------------------
@@ -841,8 +861,7 @@ def test_export_reimport_preserves_histogram():
     "thm4:k=2,l=3,t=2,m=1",
 ])
 def test_networkx_oracle_agrees(spec_text):
-    # a second, independent oracle on the exported graph; the last level of
-    # each of these small graphs is found bottom-up
+    # a second, independent oracle on the exported graph
     nx = pytest.importorskip("networkx")
     gens = build(parse_spec(spec_text))
     n = gens.params.order()

@@ -194,6 +194,18 @@ def test_encode_decode_roundtrip_above_state_cap():
     assert params.encode(params.identity()) == 0
 
 
+@pytest.mark.parametrize("element", [
+    GroupElement((2, 0, 0), 0),  # would alias (0, 1, 0; 0)
+    GroupElement((0, -1, 0), 1),
+    GroupElement((0, 0, 0), 3),  # would be index 24, the order
+    GroupElement((1, 0, 0), -1),
+])
+def test_encode_rejects_non_canonical_residues(element):
+    params = GroupParams(2, 3)
+    with pytest.raises(ParameterError):
+        params.encode(element)
+
+
 def test_decode_rejects_out_of_range():
     params = GroupParams(2, 3)
     with pytest.raises(ParameterError):
