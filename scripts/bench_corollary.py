@@ -1,25 +1,30 @@
-"""Record the corollary BFS: histogram, BFS seconds and peak RSS per source.
+"""Record the corollary BFS: histogram, BFS seconds and peak RSS, paired
+against the base tree.
 
     python3 scripts/bench_corollary.py
 
 Verifies ``cor:k=3`` (44,040,192 vertices) and ``cor:k=3,l=10``
-(402,653,184 vertices) by one BFS from the identity each, three times,
-every run in a fresh child process that imports ``dbcayley`` from this
-checkout's ``src/``.  Appends one point to ``BENCH_corollary.json`` at the
-repository root: the commit, whether ``src/`` differs from it, a digest of
-the package source, the machine, and per instance the histogram, each
-run's BFS wall seconds and each child's peak RSS.  Takes about a minute;
-``cor:k=3,l=10`` needs about 0.5 GB.
+(402,653,184 vertices) by one BFS from the identity each, every run in a
+fresh child process.  The children import ``dbcayley`` alternately from
+this checkout's ``src/`` and from the base tree's, five pairs per instance:
+the base is HEAD when ``src/`` differs from it, else HEAD's parent,
+extracted with ``git archive`` into a temporary directory.  Appends one
+point to ``BENCH_corollary.json`` at the repository root: the commit,
+whether ``src/`` differs from it, a digest of the package source, the
+machine, the base commit, and per instance the histogram (which every run
+must agree on) and per side each run's BFS wall seconds and each child's
+peak RSS with their medians, and how many pairs this checkout's BFS was
+faster in.  Takes about two minutes; ``cor:k=3,l=10`` needs about 0.5 GB.
 """
 
 from __future__ import annotations
 
 import json
 
-from benchpoint import append, run_child, stamp
+from benchpoint import append, run_pairs, stamp
 
 INSTANCES = ("cor:k=3", "cor:k=3,l=10")
-RUNS = 3
+PAIRS = 5
 
 # one BFS in a fresh interpreter; the cap is the order, so nothing is refused
 CHILD = """
@@ -42,17 +47,9 @@ print(json.dumps({
 def main() -> None:
     instances = {}
     for spec in INSTANCES:
-        runs = [run_child(CHILD, spec) for _ in range(RUNS)]
-        histograms = {json.dumps(run["histogram"]) for run in runs}
-        if len(histograms) != 1:
-            raise SystemExit(f"{spec}: runs disagree on the histogram: {histograms}")
-        instances[spec] = {
-            "order": runs[0]["order"],
-            "degree": runs[0]["degree"],
-            "histogram": runs[0]["histogram"],
-            "bfs_s": [run["bfs_s"] for run in runs],
-            "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
-        }
+        instances[spec] = run_pairs(
+            CHILD, [spec], PAIRS, ("order", "degree", "histogram"), "bfs_s"
+        )
         print(spec, json.dumps(instances[spec]), flush=True)
     append("BENCH_corollary.json", {**stamp(), "instances": instances})
 

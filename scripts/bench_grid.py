@@ -1,18 +1,23 @@
-"""Record the thm1 grid BFS: total BFS seconds, peak RSS and a histogram digest.
+"""Record the thm1 grid BFS: total BFS seconds, peak RSS and a histogram
+digest, paired against the base tree.
 
     python3 scripts/bench_grid.py
 
 Verifies every ``thm1`` instance with k in {4, 5, 6} and order at most
 10**6 (99 instances, 24,011,655 vertices) by one BFS from the identity
-each, the whole grid three times, every run in a fresh child process that
-imports ``dbcayley`` from this checkout's ``src/``.  The grid is the
-benchmark's ``bfs-digits`` workload, read from ``perfbench/workloads.py``
-so that the two cannot drift apart.  Appends one point to
-``BENCH_grid.json`` at the repository root: the commit, whether ``src/``
-differs from it, a digest of the package source, the machine, the grid's
-size, the sha256 of its histograms, and each run's total BFS wall seconds
-(building the generator sets is not timed) and each child's peak RSS.
-Takes about two seconds.
+each, the whole grid in each of five pairs of fresh child processes.  The
+children import ``dbcayley`` alternately from this checkout's ``src/`` and
+from the base tree's: HEAD when ``src/`` differs from it, else HEAD's
+parent, extracted with ``git archive`` into a temporary directory.  The
+grid is the benchmark's ``bfs-digits`` workload, read from
+``perfbench/workloads.py`` so that the two cannot drift apart.  Appends one
+point to ``BENCH_grid.json`` at the repository root: the commit, whether
+``src/`` differs from it, a digest of the package source, the machine, the
+grid's size, the base commit, the sha256 of its histograms (which every run
+must agree on), per side each run's total BFS wall seconds (building the
+generator sets is not timed) and each child's peak RSS with their medians,
+and how many pairs this checkout's BFS was faster in.  Takes about five
+seconds.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ import json
 import os
 import sys
 
-from benchpoint import ROOT, append, run_child, stamp
+from benchpoint import ROOT, append, run_pairs, stamp
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import thm1_grid  # noqa: E402
 
-RUNS = 3
+PAIRS = 5
 
 # the whole grid in a fresh interpreter; the histograms are digested as the
 # JSON list of [spec, histogram] pairs in grid order
@@ -52,16 +57,9 @@ print(json.dumps({
 
 def main() -> None:
     specs = thm1_grid()
-    runs = [run_child(CHILD, *specs) for _ in range(RUNS)]
-    digests = {run["histograms_sha256"] for run in runs}
-    if len(digests) != 1:
-        raise SystemExit(f"runs disagree on the histograms: {digests}")
     point = {
         "instances": len(specs),
-        "vertices": runs[0]["vertices"],
-        "histograms_sha256": runs[0]["histograms_sha256"],
-        "bfs_s": [run["bfs_s"] for run in runs],
-        "peak_rss_mb": [run["peak_rss_mb"] for run in runs],
+        **run_pairs(CHILD, specs, PAIRS, ("vertices", "histograms_sha256"), "bfs_s"),
     }
     print(json.dumps(point), flush=True)
     append("BENCH_grid.json", {**stamp(), "grid": point})

@@ -167,6 +167,8 @@ class ValidationReport:
     duplicates: list[GroupElement] = field(default_factory=list)
     missing_inverses: list[GroupElement] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
+    #: elements with a residue outside [0, t) or [0, r)
+    non_canonical: list[GroupElement] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -175,25 +177,34 @@ class ValidationReport:
             and self.identity_free
             and self.size_ok
             and self.symmetric is not False
+            and not self.non_canonical
         )
 
 
 def validate(gens: GeneratorSet) -> ValidationReport:
-    """Check distinctness, identity-freeness, symmetry and size of a set."""
+    """Check canonical residues, distinctness, identity-freeness, symmetry
+    and size of a set; elements are compared in canonical form."""
     params = gens.params
+    canonical, non_canonical = gens.elements, []
+    # every residue in range, checked over the distinct ones: the usual case
+    digits = set().union(*(vec for vec, _ in gens.elements)) or {0}
+    shifts = {sv for _, sv in gens.elements} or {0}
+    if min(digits) < 0 or max(digits) >= params.t or min(shifts) < 0 or max(shifts) >= params.r:
+        canonical = [params.element(*el) for el in gens.elements]
+        non_canonical = [el for el, canon in zip(gens.elements, canonical) if el != canon]
     seen: set[GroupElement] = set()
     duplicates = []
-    for el in gens.elements:
-        if el in seen:
+    for el, canon in zip(gens.elements, canonical):
+        if canon in seen:
             duplicates.append(el)
-        seen.add(el)
+        seen.add(canon)
     identity_present = params.identity() in seen
 
     symmetric: bool | None = None
     missing = []
     if not gens.directed:
-        for el in gens.elements:
-            if params.inv(el) not in seen:
+        for el, canon in zip(gens.elements, canonical):
+            if params.inv(canon) not in seen:
                 missing.append(el)
         symmetric = not missing
 
@@ -201,6 +212,11 @@ def validate(gens: GeneratorSet) -> ValidationReport:
     size_ok = len(gens.elements) == expected
 
     problems = []
+    if non_canonical:
+        problems.append(
+            f"{len(non_canonical)} elements with residues outside [0, t) or [0, r), "
+            f"e.g. {non_canonical[0]}"
+        )
     if duplicates:
         problems.append(f"{len(duplicates)} duplicate elements, e.g. {duplicates[0]}")
     if identity_present:
@@ -222,6 +238,7 @@ def validate(gens: GeneratorSet) -> ValidationReport:
         duplicates=duplicates,
         missing_inverses=missing,
         problems=problems,
+        non_canonical=non_canonical,
     )
 
 

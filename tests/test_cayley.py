@@ -3,13 +3,14 @@
 import collections
 import hashlib
 import io
+import itertools
 import random
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbcayley import (
@@ -255,7 +256,9 @@ def test_bfs_peak_memory_follows_the_level_map_model():
     # indices, a chunk of neighbour indices, the positions of its unseen
     # entries and those entries (four int64 words), and the gathered map
     # bytes with their mask; plus the kernel's int64 tables, (r, d) addends
-    # and (d, 2r) thresholds.  An n-byte frontier mask does not fit
+    # and (d, 2r) thresholds.  The last level's coset passes form their
+    # representatives (two int64 words per entry besides the frontier
+    # indices) while no chunk is held.  An n-byte frontier mask does not fit
     gens = build(parse_spec("thm3:k=3,l=7,t=2,m=3"))
     n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
     tracemalloc.start()
@@ -341,6 +344,62 @@ def test_bfs_with_pure_shifts_matches_scalar_bfs(case):
     _check_bfs_against_scalar(*case)
 
 
+
+@st.composite
+def coset_cases(draw):
+    """A directed set in which one to three shifts carry every vector on a
+    random cyclic interval of digit places, plus up to three random rows, in
+    a random generator order, and a source.  The zero vector is at times
+    left out: at shift 0 it is the identity, and at any other shift the
+    shift's rows are then no group."""
+    t = draw(st.integers(2, 3))
+    r = draw(st.integers(2, 4))
+    params = GroupParams(t, r)
+    elements = []
+    for sv in draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=3, unique=True)):
+        start = draw(st.integers(0, r - 1))
+        width = draw(st.integers(1, r if t == 2 else 2))
+        places = [(start + i) % r for i in range(width)]
+        for digits in itertools.product(range(t), repeat=len(places)):
+            vec = [0] * r
+            for place, digit in zip(places, digits):
+                vec[place] = digit
+            if any(vec) or draw(st.booleans()):
+                elements.append(params.element(vec, sv))
+    extra = st.builds(
+        params.element,
+        st.lists(st.integers(0, t - 1), min_size=r, max_size=r),
+        st.integers(0, r - 1),
+    )
+    elements += draw(st.lists(extra, max_size=3))
+    gens = GeneratorSet(params, tuple(draw(st.permutations(elements))), directed=True)
+    source = params.decode(draw(st.integers(0, params.order() - 1)))
+    return gens, source
+
+
+def _shift_zero_case():
+    """Shift 0 carries every vector on places 0 and 1 but the zero vector,
+    shift 1 two rows on place 0 without it; from (0,0,1;0)."""
+    params = GroupParams(3, 3)
+    elements = [params.element([a, b, 0], 0) for a in range(3) for b in range(3) if a or b]
+    elements += [params.element([a, 0, 0], 1) for a in (1, 2)]
+    return GeneratorSet(params, tuple(elements), directed=True), params.element([0, 0, 1], 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coset_cases())
+@example(_shift_zero_case())
+def test_bfs_through_coset_groups_matches_scalar_bfs(case):
+    # groups of 8 to 324 vertices and up to 51 generators: where a group's
+    # arcs outnumber the vertices, top-down expands one frontier vertex per
+    # coset and window, so a block size of 1 leaves one vertex per window,
+    # 7 several, and the real size a whole shift block.  In the example a
+    # coset's frontier vertex reaches every other vertex of its coset through
+    # shift 0, where its key (its place 0 and 1 digits cleared), not always
+    # on the frontier, would miss itself
+    _check_bfs_against_scalar(*case)
+
+
 def _spy_levels(monkeypatch):
     """The passes of each BFS, as (pass, level) pairs in call order, and the
     kernel evaluations (neighbour indices formed) per level."""
@@ -357,9 +416,9 @@ def _spy_levels(monkeypatch):
         passes.append(("slice", code - 1))
         return slice_level(level_map, shifts, code, base)
 
-    def top_down(level_map, kernel, code):
+    def top_down(level_map, kernel, level_passes, code):
         passes.append(("top-down", code - 1))
-        top_down_level(level_map, kernel, code)
+        top_down_level(level_map, kernel, level_passes, code)
 
     monkeypatch.setattr(_NeighborKernel, "neighbors", neighbors)
     monkeypatch.setattr(cayley, "_slice_level", slice_pass)
@@ -403,13 +462,53 @@ def test_slice_pass_settles_the_last_level_without_the_kernel(
 def test_top_down_runs_after_the_slice_pass_only_where_vertices_stay_unseen(monkeypatch):
     # on level 4 the pure shifts leave 32,076 of 37,017 vertices unseen, among
     # them the 21,141 of level 5, so top-down expands all 2,709 vertices of
-    # level 3 through the 21 generators; the pure shifts alone settle level 5
+    # level 3 through the 18 generators that are not pure shifts (the slice
+    # pass took the 3 that are); the pure shifts alone settle level 5
     passes, evaluations = _spy_levels(monkeypatch)
     histogram = bfs_from_identity(build(parse_spec("thm2:k=5,d=21"))).histogram
     assert histogram == [1, 21, 252, 2709, 15876, 21141]
     assert passes[-3:] == [("slice", 4), ("top-down", 4), ("slice", 5)]
-    assert evaluations[4] == 2709 * 21 == 56_889
+    assert evaluations[4] == 2709 * 18 == 48_762
     assert evaluations[5] == 0
+
+
+
+def test_top_down_expands_one_frontier_vertex_per_coset(monkeypatch):
+    # level 2's 41,368 x 255 arcs outnumber the 2,228,224 vertices, so on the
+    # last level both groups, the 128 long rows and the 127 short ones,
+    # expand one frontier vertex per coset of a window; the levels before
+    # expand every frontier vertex, as no group's arcs outnumber the vertices
+    passes, evaluations = _spy_levels(monkeypatch)
+    histogram = bfs_from_identity(build(parse_spec("thm3:k=3,l=7,t=2,m=3"))).histogram
+    assert histogram == [1, 255, 41368, 2186600]
+    assert passes == [("top-down", 1), ("top-down", 2), ("top-down", 3)]
+    assert evaluations == {1: 255, 2: 255 * 255, 3: 4_365_687}
+    assert evaluations[3] < 41368 * 255 == 10_548_840
+
+
+@pytest.mark.parametrize("spec_text", [
+    "thm1:k=4,d=10", "thm1:k=6,d=7", "thm2:k=5,d=21", "thm2:k=6,d=11",
+    "thm3:k=3,l=3,t=2,m=1", "thm3:k=3,l=3,t=3,m=2", "cor:k=3",
+])
+def test_coset_groups_name_each_family_s_intervals(spec_text):
+    # thm1 and thm2: the t shift-and-add rows (a, 0, ..., 0; 1) span place
+    # 0, thm2's inverses (0, ..., 0, -a; -1) place r - 1, and the other pure
+    # shifts are plain; thm3: the long rows span the first l places and the
+    # short rows of every other shift, shift 0 without the identity, the
+    # first m
+    gens = build(parse_spec(spec_text))
+    spec, t, r, d = gens.spec, gens.params.t, gens.params.r, len(gens.elements)
+    if spec.kind == "thm1":
+        expected = {(0,): range(t), (): range(t, d)}
+    elif spec.kind == "thm2":
+        expected = {(0,): range(t), (r - 1,): range(t, 2 * t), (): range(2 * t, d)}
+    else:
+        long = t**spec.ell
+        expected = {tuple(range(spec.ell)): range(long), tuple(range(spec.m)): range(long, d)}
+    groups = cayley._coset_groups(_NeighborKernel(gens))
+    assert {places: np.flatnonzero(rows).tolist() for places, rows in groups.items()} == {
+        places: list(rows) for places, rows in expected.items() if rows
+    }
 
 
 def test_slice_pass_peak_memory_follows_the_window_model(monkeypatch):
@@ -445,7 +544,8 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
     # _BLOCK_ARCS is read when a level runs: at one arc per block, every
     # window of the three top-down levels (19 generators) holds one vertex
     # and is expanded one generator row at a time; the last level runs the
-    # slice pass first, which leaves 378 of its 680 vertices to top-down
+    # slice pass first, which leaves 378 of its 680 vertices to top-down,
+    # and that skips the 6 pure shifts the pass already took
     levels, rows = [], []
     kernel_neighbors = _NeighborKernel.neighbors
     top_down_level = cayley._top_down_level
@@ -465,7 +565,7 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
     result = bfs_from_identity(build(parse_spec("thm3:k=3,l=3,t=2,m=1")))
     assert result.histogram == [1, 19, 196, 680]
     assert levels == [2, 3, 4]
-    assert len(rows) == 19 * (1 + 19 + 196)
+    assert len(rows) == 19 * (1 + 19) + 13 * 196
     assert set(rows) == {1}
 
 
@@ -476,7 +576,7 @@ def test_bfs_refuses_non_canonical_generators():
     gens = GeneratorSet(
         params, (GroupElement((3, 0, 0), 1), GroupElement((0, 0, 0), 2)), directed=True
     )
-    assert validate(gens).ok
+    assert not validate(gens).ok
     with pytest.raises(ParameterError):
         bfs_from_identity(gens)
     canonical = GeneratorSet(

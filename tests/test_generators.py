@@ -9,6 +9,7 @@ from dbcayley import (
     GeneratorClassOverlapError,
     GeneratorSet,
     GroupElement,
+    GroupParams,
     ParameterError,
     SpecParseError,
     build,
@@ -241,6 +242,23 @@ def test_validate_flags_duplicates_and_asymmetry():
     assert report.duplicates == [el]
     assert report.symmetric is False
     assert el in report.missing_inverses
+
+
+
+def test_validate_flags_non_canonical_elements():
+    # with t = 2 the coordinates 3 and 2 are 1 and 0: compared in canonical
+    # form, (3,0,0;1) duplicates (1,0,0;1) and (2,0,0;0) is the identity
+    params = GroupParams(2, 3)
+    elements = (GroupElement((3, 0, 0), 1), GroupElement((1, 0, 0), 1),
+                GroupElement((2, 0, 0), 0))
+    report = validate(GeneratorSet(params, elements, directed=True))
+    assert report.non_canonical == [elements[0], elements[2]]
+    assert report.duplicates == [elements[1]]
+    assert not report.identity_free
+    assert not report.ok
+    assert any("outside [0, t)" in p for p in report.problems)
+    canonical = GeneratorSet(params, (params.element([1, 0, 0], 1),), directed=True)
+    assert validate(canonical).ok and not validate(canonical).non_canonical
 
 
 # --- corollary parameter selection ----------------------------------------------
