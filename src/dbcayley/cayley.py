@@ -44,6 +44,16 @@ format each block as ASCII bytes with numpy (one byte per digit place of
 the largest label, a byte mask dropping leading zeros) into buffers
 allocated once per export, and write those bytes, so their memory does not
 grow with the graph; they refuse above the cap in vertices or in arcs.
+
+A BFS from the identity without distances goes around all of this where it
+can: every family of the paper is support-closed (each shift's generators
+are a union of coordinate subspaces), so :mod:`dbcayley.supports` counts
+its levels from a few antichains of digit supports, with no level map.  It
+takes a set only when the set passes its exact hypothesis check and the
+work stays within n subset tests, the level map's n bytes; every other set,
+and every search from another source or with distances, runs the dense BFS
+above, which stays the oracle for arbitrary sets.  The cap refuses by the
+vertex count on both routes.
 """
 
 from __future__ import annotations
@@ -55,6 +65,7 @@ from typing import IO
 
 import numpy as np
 
+from . import supports
 from .bounds import moore_bound
 from .generators import (
     ConstructionSpec,
@@ -95,6 +106,9 @@ class BfsResult:
     diameter: int
     histogram: list[int]
     distances: np.ndarray | None = None
+    #: how the levels were counted: "dense" (a level map over every vertex)
+    #: or "supports" (antichains of digit supports)
+    method: str = "dense"
 
 
 def neighbors(g: GroupElement, gens: GeneratorSet) -> list[GroupElement]:
@@ -436,9 +450,28 @@ def bfs_from_identity(
     """Exact diameter and distance histogram of the (di)graph.
 
     For directed sets this is the out-eccentricity of the identity, which
-    vertex-transitivity makes equal to the digraph diameter.
+    vertex-transitivity makes equal to the digraph diameter.  The refusals
+    come first: above ``cap`` vertices, or for a generator with a residue out
+    of range.  Without ``want_distances`` the levels are then counted from
+    digit supports (:func:`dbcayley.supports.histogram`, method
+    ``"supports"``) where the set is support-closed and the work stays within
+    n subset tests; otherwise, and whenever distances are wanted, by the
+    dense BFS (:func:`bfs_from`, method ``"dense"``).
     """
-    return bfs_from(gens, gens.params.identity(), cap=cap, want_distances=want_distances)
+    params = gens.params
+    n = params.order()
+    if n > cap:
+        raise CapExceededError(n, cap)
+    if not want_distances:
+        # encode refuses non-canonical residues, as the dense kernel does
+        indices = [params.encode(s) for s in gens.elements]
+        histogram = supports.histogram(params, indices, n)
+        if histogram is not None:
+            if sum(histogram) < n:
+                raise DisconnectedGraphError(n - sum(histogram), histogram)
+            return BfsResult(diameter=len(histogram) - 1, histogram=histogram,
+                             method="supports")
+    return bfs_from(gens, params.identity(), cap=cap, want_distances=want_distances)
 
 
 @dataclass

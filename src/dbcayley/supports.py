@@ -1,0 +1,194 @@
+"""Exact distance histograms of support-closed generator sets, from digit supports.
+
+Write V_J for the vectors of Z_t^r whose support, the set of digit places
+where they are nonzero, lies in a set J of places.  Two facts hold:
+V_A + V_B = V_{A ∪ B}, and alpha^c(V_J) = V_{J + c}, where alpha^c moves
+place i to (i + c) mod r.
+
+**Lemma.**  Call a generator set *support-closed* when, for every shift s,
+the vectors of its generators at shift s are exactly the union of V_J over a
+family M_s of supports; at s = 0 the zero vector, the identity, may be
+missing, since it costs no step.  Every family of the paper is: thm1 has
+V_{0} at shift 1 and V_∅ at each pure shift, thm2 adds V_{r-1} at shift -1,
+thm3 has V_[0,l) at shift l and V_[0,m) at every other shift, and thm4's
+six classes unite to such sets at every shift.  A word ending at shift c
+whose vectors fill V_S, followed by a letter (v; s) with v in V_J, fills
+V_{S ∪ (J + c)} at shift c + s.  So the ball of radius j at shift c is the
+union of V_S over the supports S that words of at most j letters place when
+they end at shift c, and a vertex's distance depends only on (supp x, c).
+
+**Hypothesis check.**  Per shift s, C_s is the set of distinct vector codes
+(with 0 at s = 0) and M_s the maximal supports among them.  C_s lies in the
+union of V_J over M_s, so the set is support-closed exactly when that union
+has |C_s| vectors; otherwise :func:`histogram` returns None.
+
+**Antichain BFS.**  A(c) holds the maximal supports of the ball at shift c,
+starting from A(0) = {∅}.  Each level, shift c + s gains S ∪ (J + c) for
+every S in A(c) and J in M_s; the old sets are kept, since the balls are
+nested, and the result is reduced to its maximal sets.  Only the sets that
+joined A(c) on the level before can extend to a support not yet covered, so
+only they are extended.
+
+**Ball sizes.**  The ball at shift c has t^|S| vectors when A(c) = {S}
+(t^r once S holds every place).  Otherwise its size is split place by
+place: a place p that every member holds is free, a factor t; else the
+vectors with a nonzero digit at p lie in the members that hold p (less p),
+and those with a zero there in every member less p.  Both parts are
+antichains again, and equal parts are counted once.  A level's count is
+the growth of the balls over all shifts; a level that adds nothing ends the
+search with the balls short of the group, as a disconnected set does.
+
+**Budget.**  Every pairwise subset or intersection test counts as one unit,
+and a batch of tests is counted before it runs.  The caller passes the
+budget (n, the bytes of the dense BFS's level map, in
+:mod:`dbcayley.cayley`); once a batch would pass it, :func:`histogram`
+returns None, so the work abandoned stays within the budget.  Deep t = 2
+sets, whose antichains grow wide, end here and go to the dense BFS.
+
+Supports are bit masks (place i is bit i), and the module is pure Python.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from .group import GroupParams
+
+
+class _OverBudget(Exception):
+    """The next batch of subset or intersection tests would pass the budget."""
+
+
+class _Work:
+    """Units of work left: subset and intersection tests."""
+
+    def __init__(self, budget: float):
+        self.left = budget
+
+    def spend(self, units: int) -> None:
+        self.left -= units
+        if self.left < 0:
+            raise _OverBudget
+
+
+def _support(code: int, t: int) -> int:
+    """The support mask of a vector code, whose digit i is place i."""
+    if t == 2:
+        return code
+    mask, place = 0, 0
+    while code:
+        code, digit = divmod(code, t)
+        if digit:
+            mask |= 1 << place
+        place += 1
+    return mask
+
+
+def _maximal(masks: set[int], work: _Work) -> list[int]:
+    """The maximal masks of ``masks``, widest first, then by value."""
+    kept: list[int] = []
+    for x in sorted(masks, key=lambda m: (-m.bit_count(), m)):
+        work.spend(len(kept))
+        if not any(x & y == x for y in kept):
+            kept.append(x)
+    return kept
+
+
+def _union_size(antichain: list[int], t: int, work: _Work) -> int:
+    """How many vectors lie in the union of V_J over J in ``antichain``,
+    split place by place (see the module docstring), lowest place first."""
+    memo: dict[tuple[int, ...], int] = {}
+
+    def count(family: tuple[int, ...]) -> int:
+        if len(family) <= 1:
+            return t ** family[0].bit_count() if family else 0
+        if len(family) == 2:
+            a, b = family
+            return t ** a.bit_count() + t ** b.bit_count() - t ** (a & b).bit_count()
+        value = memo.get(family)
+        if value is not None:
+            return value
+        work.spend(len(family))
+        core, every = -1, 0
+        for x in family:
+            core &= x
+            every |= x
+        if core:
+            value = t ** core.bit_count() * count(tuple(sorted(x & ~core for x in family)))
+        else:
+            p = every & -every
+            holding = [x ^ p for x in family if x & p]
+            rest = [x for x in family if not x & p]
+            # a member without p is never inside one that held it
+            work.spend(len(holding) * len(rest))
+            rest += [h for h in holding if not any(h & x == h for x in rest)]
+            value = (t - 1) * count(tuple(sorted(holding))) + count(tuple(sorted(rest)))
+        memo[family] = value
+        return value
+
+    return count(tuple(sorted(antichain)))
+
+
+def _families(params: GroupParams, indices: Iterable[int], work: _Work) -> list[list[int]] | None:
+    """M_s per shift s, or None when the set is not support-closed."""
+    t, r = params.t, params.r
+    base = t**r
+    codes: list[set[int]] = [set() for _ in range(r)]
+    codes[0].add(0)  # the identity costs no step
+    for index in indices:
+        shift, code = divmod(index, base)
+        codes[shift].add(code)
+    families = []
+    for vectors in codes:
+        family = _maximal({_support(code, t) for code in vectors}, work)
+        if _union_size(family, t, work) != len(vectors):
+            return None
+        families.append(family)
+    return families
+
+
+def histogram(params: GroupParams, indices: Iterable[int], budget: float) -> list[int] | None:
+    """Vertices per distance from the identity, for the generators with dense
+    ``indices``, or None when the set is not support-closed or the work would
+    pass ``budget`` units.
+
+    The levels are counted until the balls stop growing: they sum to the
+    group order exactly when the set generates the group.
+    """
+    work = _Work(budget)
+    t, r = params.t, params.r
+    full = (1 << r) - 1
+    try:
+        families = _families(params, indices, work)
+        if families is None:
+            return None
+        antichains: list[list[int]] = [[0]] + [[] for _ in range(r - 1)]
+        # the members that joined on the last level: only they can extend to
+        # a support not already covered
+        joined = [list(antichain) for antichain in antichains]
+        balls = [1] + [0] * (r - 1)
+        levels = [1]
+        reached, n = 1, params.order()
+        while reached < n:
+            candidates = [set(antichain) for antichain in antichains]
+            for c, fresh in enumerate(joined):
+                for s, family in enumerate(families):
+                    target = candidates[(c + s) % r]
+                    for j in family:
+                        j = (j << c | j >> (r - c)) & full
+                        target.update(x | j for x in fresh)
+            for c, masks in enumerate(candidates):
+                antichain = _maximal(masks, work)
+                old = set(antichains[c])
+                joined[c] = [x for x in antichain if x not in old]
+                if joined[c]:
+                    antichains[c] = antichain
+                    balls[c] = _union_size(antichain, t, work)
+            now = sum(balls)
+            if now == reached:
+                break
+            levels.append(now - reached)
+            reached = now
+        return levels
+    except _OverBudget:
+        return None

@@ -263,7 +263,7 @@ def test_bfs_peak_memory_follows_the_level_map_model():
     n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
     tracemalloc.start()
     try:
-        histogram = bfs_from_identity(gens).histogram
+        histogram = bfs_from(gens, gens.params.identity()).histogram
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -452,7 +452,8 @@ def test_slice_pass_settles_the_last_level_without_the_kernel(
     # the pure shifts reach every vertex of the last level from the level
     # before it, so the slice pass leaves none unseen and top-down never runs
     passes, evaluations = _spy_levels(monkeypatch)
-    assert bfs_from_identity(build(parse_spec(spec_text))).histogram == histogram
+    gens = build(parse_spec(spec_text))
+    assert bfs_from(gens, gens.params.identity()).histogram == histogram
     last = len(histogram) - 1
     assert passes[-1] == ("slice", last)
     assert ("top-down", last) not in passes
@@ -465,7 +466,8 @@ def test_top_down_runs_after_the_slice_pass_only_where_vertices_stay_unseen(monk
     # level 3 through the 18 generators that are not pure shifts (the slice
     # pass took the 3 that are); the pure shifts alone settle level 5
     passes, evaluations = _spy_levels(monkeypatch)
-    histogram = bfs_from_identity(build(parse_spec("thm2:k=5,d=21"))).histogram
+    gens = build(parse_spec("thm2:k=5,d=21"))
+    histogram = bfs_from(gens, gens.params.identity()).histogram
     assert histogram == [1, 21, 252, 2709, 15876, 21141]
     assert passes[-3:] == [("slice", 4), ("top-down", 4), ("slice", 5)]
     assert evaluations[4] == 2709 * 18 == 48_762
@@ -479,7 +481,8 @@ def test_top_down_expands_one_frontier_vertex_per_coset(monkeypatch):
     # expand one frontier vertex per coset of a window; the levels before
     # expand every frontier vertex, as no group's arcs outnumber the vertices
     passes, evaluations = _spy_levels(monkeypatch)
-    histogram = bfs_from_identity(build(parse_spec("thm3:k=3,l=7,t=2,m=3"))).histogram
+    gens = build(parse_spec("thm3:k=3,l=7,t=2,m=3"))
+    histogram = bfs_from(gens, gens.params.identity()).histogram
     assert histogram == [1, 255, 41368, 2186600]
     assert passes == [("top-down", 1), ("top-down", 2), ("top-down", 3)]
     assert evaluations == {1: 255, 2: 255 * 255, 3: 4_365_687}
@@ -530,7 +533,7 @@ def test_slice_pass_peak_memory_follows_the_window_model(monkeypatch):
     monkeypatch.setattr(cayley, "_slice_level", stepped)
     tracemalloc.start()
     try:
-        histogram = bfs_from_identity(gens).histogram
+        histogram = bfs_from(gens, gens.params.identity()).histogram
     finally:
         tracemalloc.stop()
     assert histogram == [1, 70, 4896, 337824, 642736]
@@ -562,7 +565,8 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
     monkeypatch.setattr(_NeighborKernel, "neighbors", spy)
     monkeypatch.setattr(cayley, "_top_down_level", top_down)
     monkeypatch.setattr(cayley, "_BLOCK_ARCS", 1)
-    result = bfs_from_identity(build(parse_spec("thm3:k=3,l=3,t=2,m=1")))
+    gens = build(parse_spec("thm3:k=3,l=3,t=2,m=1"))
+    result = bfs_from(gens, gens.params.identity())
     assert result.histogram == [1, 19, 196, 680]
     assert levels == [2, 3, 4]
     assert len(rows) == 19 * (1 + 19) + 13 * 196
