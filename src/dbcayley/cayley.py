@@ -44,6 +44,9 @@ format each block as ASCII bytes with numpy (one byte per digit place of
 the largest label, a byte mask dropping leading zeros) into buffers
 allocated once per export, and write those bytes, so their memory does not
 grow with the graph; they refuse above the cap in vertices or in arcs.
+Labels are formatted in the narrowest unsigned dtype that holds n - 1
+(at most two bytes a label up to 65,536 vertices), and an undirected block
+selects its edges u <= v straight from the kernel's neighbour block.
 
 A BFS from the identity without distances goes around all of this where it
 can: every family of the paper is support-closed (each shift's generators
@@ -567,7 +570,9 @@ class _Rows:
     shape keeps the literals and each label's significant digits.  Both are
     allocated once, with the literals in place, so a block rewrites only its
     label bytes and their masks, and its bytes are one boolean selection of
-    the row matrix.
+    the row matrix.  The labels and their digit arithmetic use the narrowest
+    unsigned dtype that holds ``largest`` (``np.min_scalar_type``), so a
+    label below 2**16 costs two bytes per buffer, not eight.
     """
 
     def __init__(self, template: bytes, largest: int, capacity: int):
@@ -579,15 +584,16 @@ class _Rows:
         #: the column of each label's units digit
         self._units = np.cumsum([len(lit) + self._digits for lit in literals[:-1]],
                                 dtype=np.intp) - 1
-        #: the labels of the next block, one row per output row
-        self.values = np.empty((capacity, self._units.size), dtype=np.int64)
+        #: the labels of the next block, one row per output row, in the
+        #: narrowest unsigned dtype that holds ``largest``
+        self.values = np.empty((capacity, self._units.size), dtype=np.min_scalar_type(largest))
         self._row = np.empty((capacity, len(row)), dtype=np.uint8)
         self._row[:] = np.frombuffer(row, dtype=np.uint8)
         self._keep = np.empty((capacity, len(row)), dtype=np.bool_)
         self._keep[:] = np.frombuffer(keep, dtype=np.bool_)
         #: two rows of quotients, taken in turn, and one of digits, so that a
         #: block allocates no label-sized temporaries
-        self._scratch = np.empty((3, *self.values.shape), dtype=np.int64)
+        self._scratch = np.empty((3, *self.values.shape), dtype=self.values.dtype)
 
     def write(self, out: IO[bytes], count: int) -> None:
         """Write the first ``count`` rows of :attr:`values` to ``out``."""
@@ -596,10 +602,11 @@ class _Rows:
         for place in range(self._digits):
             columns = self._units - place
             # the digit is rest - 10 * quotient: floor division by a scalar is
-            # fast where np.remainder by 10 is not
+            # fast where np.remainder by 10 is not, and the subtraction keeps
+            # the unsigned labels from wrapping
             quotient = np.floor_divide(rest, 10, out=self._scratch[place % 2, :count])
-            np.multiply(quotient, -10, out=digit)
-            digit += rest
+            np.multiply(quotient, 10, out=digit)
+            np.subtract(rest, digit, out=digit)
             digit += ord("0")
             self._row[:count, columns] = digit
             if place:
@@ -623,7 +630,9 @@ def write_graph(
     deterministic given the set and format.  Vertices are walked in index
     order, a block of about ``_BLOCK_ARCS`` labels at a time, and each
     block is formatted by numpy (:class:`_Rows`) into buffers allocated
-    once, so memory does not grow with the graph.
+    once, so memory does not grow with the graph.  An undirected block takes
+    its edges from the kernel's (vertex, generator) neighbours where v >= u,
+    vertex-major in generator order, and writes only those.
     """
     if fmt not in EXPORT_FORMATS:
         raise ParameterError(
@@ -666,15 +675,18 @@ def write_graph(
                 count = vec.size
                 rows.values[:count, 0] = u
                 rows.values[:count, 1:] = nb.T
-            else:
+            elif gens.directed:
                 count = nb.size
                 arcs = rows.values[:count].reshape(vec.size, d, 2)
                 arcs[..., 0] = u[:, None]
                 arcs[..., 1] = nb.T
-                if not gens.directed:
-                    keep = (arcs[..., 0] <= arcs[..., 1]).ravel()
-                    count = int(np.count_nonzero(keep))
-                    rows.values[:count] = rows.values[:keep.size][keep]
+            else:
+                # (vertex, generator): the edges u <= v, vertex-major
+                nb = nb.T
+                keep = nb >= u[:, None]
+                count = int(np.count_nonzero(keep))
+                rows.values[:count, 0] = np.repeat(u, np.count_nonzero(keep, axis=1))
+                rows.values[:count, 1] = nb[keep]
             rows.write(out, count)
     if fmt == "dot":
         out.write(b"}\n")

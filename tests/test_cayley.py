@@ -741,6 +741,12 @@ EXPORT_DIGESTS = {
         "dot": (8722262, "bbce728a4e091a12acc299cb0c6eedb3af461419beb1d82a54e9590aa82e8660"),
         "adjacency": (3015570, "dc859af67c0f712b520125fbda180f027fc4cefec8a8c9df4572573a2da33647"),
     },
+    # labels past 2**16, formatted from uint32
+    "thm1:k=5,d=14": {
+        "edge-list": (13623512, "3ba3f2d026f726a40689e620af68cc2f1f56b862b60fb5d9875d84bdb30da990"),
+        "dot": (21326206, "d7f995b20002eb04aa26ccbff5d44d2f2b7bdf88662fb51a03bef86202acf0b0"),
+        "adjacency": (7381254, "0fb06b084d0be3d5c243248d5e8488e622aa54fe9f70895fc3637a9df53e790b"),
+    },
     "thm2:k=4,d=9": {
         "edge-list": (5264, "0bc6c190897f6f212677f68b1af147cd5d36d4893d9b273362b365eb443404a6"),
         "dot": (11116, "9823b284851513f90b61145dd66786abc8d7f14c83e29a15d3e3f1a3fe5b528b"),
@@ -750,6 +756,11 @@ EXPORT_DIGESTS = {
         "edge-list": (4806690, "28dced86cae1c29bd2925f28f0db29015bbc1b6b836dc062f0e147e4b361dec6"),
         "dot": (7675590, "9fb5a84c1bb32cede07208a2bc6c37e80978199c84cd91ef3f80fcfc3e0ee56f"),
         "adjacency": (5075580, "490168b48a64dc7cbac0564d4ff8a4ba4b91720fd9f459c5dfebcd5abfee4467"),
+    },
+    "thm2:k=5,d=25": {
+        "edge-list": (12163850, "c620d8df03ff5f37089a4e206673e58c4ee5d616ff17ada9962f9dd71667b35b"),
+        "dot": (19120046, "96dbd80a5b42b4cc794781c838d497cfb552be2f4b3a1c2975aaad5e41064d08"),
+        "adjacency": (12733348, "07d597666c7c4dfca591a1600d63c7a474038bec60fc6715b84b5ce442bd7e32"),
     },
     "thm3:k=2,l=2,t=2,m=1": {
         "edge-list": (868, "990773d79fe7505f1d675ad625cfacab2a671cbbebbd847cdcb70ae33b995ef3"),
@@ -786,11 +797,13 @@ def test_export_bytes_match_the_pinned_digests(spec_text):
 
 
 def test_export_peak_memory_does_not_grow_with_the_graph():
-    # a block holds about _BLOCK_ARCS labels, at most about 72 bytes each: the
-    # int64 label and three int64 scratch rows (two of quotients, one of
-    # digits); a row byte and a mask byte per digit and literal byte, 12 to
-    # 18 per five-digit label; the selected output bytes; the kernel's
-    # neighbour block; so the bound is the same for 192 and 40,000 vertices
+    # a block holds about _BLOCK_ARCS labels, at most about 40 bytes each
+    # below 2**16: the uint16 label and three uint16 scratch rows (two of
+    # quotients, one of digits); a row byte and a mask byte per digit and
+    # literal byte, 12 to 18 per five-digit label; the selected output bytes;
+    # the kernel's int64 neighbour block, and undirected, the int64 sources
+    # and neighbours of the edges kept from it; so the bound is the same for
+    # 192 and 40,000 vertices
     class Discard:
         def write(self, data):
             return len(data)
@@ -804,7 +817,7 @@ def test_export_peak_memory_does_not_grow_with_the_graph():
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 72 * _BLOCK_ARCS, (spec_text, fmt, peak / _BLOCK_ARCS)
+            assert peak <= 48 * _BLOCK_ARCS, (spec_text, fmt, peak / _BLOCK_ARCS)
 
 
 _LITERALS = st.one_of(
@@ -813,30 +826,34 @@ _LITERALS = st.one_of(
     st.binary(min_size=9, max_size=20),
 ).map(lambda b: b.replace(b"\0", b"\1"))
 
-_LABELS = st.one_of(
-    st.integers(0, 17).flatmap(lambda p: st.sampled_from([10**p - 1, 10**p])),
-    st.integers(0, 10**18),
-)
+# the edges of each digit count and of each unsigned label width
+_EDGES = sorted({10**p - 1 for p in range(19)} | {10**p for p in range(19)}
+                | {2**w - 1 for w in (8, 16, 32)} | {2**w for w in (8, 16, 32)})
 
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_rows_formatter_matches_percent_d(data):
     # two blocks through one formatter, the second no longer than the first,
-    # against b"%d" row by row; labels up to 19 digits get up to 19 bytes each
+    # against b"%d" row by row; labels up to 19 digits get up to 19 bytes
+    # each, in the narrowest unsigned dtype that holds the largest
+    largest = data.draw(st.one_of(st.sampled_from(_EDGES), st.integers(0, 10**18)))
+    labels = st.one_of(
+        st.sampled_from([edge for edge in _EDGES if edge <= largest]),
+        st.integers(0, largest),
+    )
     fields = data.draw(st.integers(1, 23))
     literals = data.draw(st.lists(_LITERALS, min_size=fields + 1, max_size=fields + 1))
     blocks = [
-        data.draw(st.lists(st.lists(_LABELS, min_size=fields, max_size=fields),
+        data.draw(st.lists(st.lists(labels, min_size=fields, max_size=fields),
                            min_size=1, max_size=4))
     ]
     blocks.append(data.draw(st.lists(
-        st.lists(_LABELS, min_size=fields, max_size=fields),
+        st.lists(labels, min_size=fields, max_size=fields),
         min_size=0, max_size=len(blocks[0]),
     )))
-    largest = max(label for block in blocks for row in block for label in row)
-    largest = data.draw(st.integers(largest, 10**18))
     rows = cayley._Rows(b"\0".join(literals), largest, len(blocks[0]))
+    assert rows.values.dtype == np.min_scalar_type(largest)
     for block in blocks:
         out = io.BytesIO()
         rows.values[:len(block)] = np.array(block, dtype=np.int64).reshape(-1, fields)
