@@ -19,44 +19,31 @@ throughout: one shift at a time, in windows of 2**16 entries.  The level
 before it is read window by window, taking the vector parts of the
 vertices at its code, and expanded: frontier x degree neighbour
 evaluations in generator-major chunks of about 2**16 arcs, through the
-one neighbour kernel.  Once 14 times the level before outnumbers the
-unseen vertices, a slice pass runs first.  The pure cyclic shifts
-(0; s), which every family of the paper has, change only the shift, so
-the in-neighbours of a window through them are the same window of
-another shift's block: every unseen vertex whose in-neighbour is on the
-level before is marked by comparing those bytes, with no neighbour index
-formed.  Top-down then runs only if some vertex is left unseen, and it
-skips the pure shifts, whose arcs the pass has marked; on every instance of
-the thm1 grid the slice pass alone finds the last level.  The block
-families build a shift's generators as every vector on one cyclic interval
-P of digit places, so through them (x; su) reaches its whole coset modulo
-the vectors on P rotated by su.  Where such a group's arcs outnumber the
-vertices (level before x its rows > n), top-down expands only one
-frontier vertex of each coset in a window, which cuts the last level of
-thm3:k=3,l=8,t=2,m=3 from 47.9 M evaluations to 16.5 M and that of cor:k=3
-from 256.0 M to 64.9 M.  A level is counted by one pass over the map,
-and the map is the only state kept between levels, so the search costs n
-bytes plus window temporaries: a fixed few int64 words per arc of a window
-top-down, a few bytes per entry in the slice pass.  Above the state cap
-the search refuses instead of degrading.  Exports walk the vertices
-through the same neighbour kernel in blocks of about as many labels,
-format each block as ASCII bytes with numpy (one byte per digit place of
-the largest label, a byte mask dropping leading zeros) into buffers
-allocated once per export, and write those bytes, so their memory does not
-grow with the graph; they refuse above the cap in vertices or in arcs.
-Labels are formatted in the narrowest unsigned dtype that holds n - 1
-(at most two bytes a label up to 65,536 vertices), and an undirected block
-selects its edges u <= v straight from the kernel's neighbour block.
+one neighbour kernel.  A level is counted by one pass over the map, and
+the map is the only state kept between levels, so the search costs n
+bytes plus window temporaries, a fixed few int64 words per arc of a
+window.  Above the state cap the search refuses instead of degrading.
 
-A BFS from the identity without distances goes around all of this where it
-can: every family of the paper is support-closed (each shift's generators
-are a union of coordinate subspaces), so :mod:`dbcayley.supports` counts
-its levels from a few antichains of digit supports, with no level map.  It
-takes a set only when the set passes its exact hypothesis check and the
-work stays within n subset tests, the level map's n bytes; every other set,
-and every search from another source or with distances, runs the dense BFS
-above, which stays the oracle for arbitrary sets.  The cap refuses by the
-vertex count on both routes.
+Exports walk the vertices through the same neighbour kernel in blocks of
+about as many labels, format each block as ASCII bytes with numpy (one
+byte per digit place of the largest label, a byte mask dropping leading
+zeros) into buffers allocated once per export, and write those bytes, so
+their memory does not grow with the graph; they refuse above the cap in
+vertices or in arcs.  Labels are formatted in the narrowest unsigned
+dtype that holds n - 1 (at most two bytes a label up to 65,536 vertices),
+and an undirected block selects its edges u <= v straight from the
+kernel's neighbour block.
+
+A BFS from the identity without distances goes around the level map where
+it can: every family of the paper is support-closed (each shift's
+generators are a union of coordinate subspaces), so
+:mod:`dbcayley.supports` counts its levels from a few antichains of digit
+supports.  It takes a set only when the set passes its exact hypothesis
+check and the work stays within n subset tests, the level map's n bytes.
+Every other set (a support-closed one too where that work would pass n,
+as on deep t = 2 sets), and every search from another source or with
+distances, runs the dense BFS above, which stays the oracle for arbitrary
+sets.  The cap refuses by the vertex count on both routes.
 """
 
 from __future__ import annotations
@@ -192,11 +179,6 @@ class _NeighborKernel:
         return nb
 
 
-#: a level runs the slice pass first once the level before it, times this
-#: factor, outnumbers the vertices still unseen
-_ALPHA = 14
-
-
 def _windows(level_map: np.ndarray, su: int, code: int, base: int):
     """Yield the vector parts of shift ``su``'s vertices at ``code``.
 
@@ -212,158 +194,24 @@ def _windows(level_map: np.ndarray, su: int, code: int, base: int):
             yield vec
 
 
-def _slice_level(level_map: np.ndarray, shifts: list[int], code: int, base: int) -> int:
-    """Mark ``code`` on every unseen (x; su) whose (x; su - s) is at ``code - 1``
-    for a pure shift (0; s) of ``shifts``; return how many stay unseen.
-
-    Right-multiplying by (0; s) changes only the shift, so a window's
-    in-neighbours through it are the same window of another shift's block,
-    compared byte for byte; no neighbour index is formed.
-    """
-    r = level_map.size // base
-    mark = level_map.dtype.type(code)
-    unseen_left = 0
-    for su in range(r):
-        block = level_map[su * base:(su + 1) * base]
-        sources = [(su - s) % r * base for s in shifts]
-        for lo in range(0, base, _BLOCK_ARCS):
-            window = block[lo:lo + _BLOCK_ARCS]
-            unseen = window == 0
-            for src in sources:
-                hit = level_map[src + lo:src + lo + window.size] == code - 1
-                hit &= unseen
-                # hit entries are 0: adding marks them, much faster than a
-                # masked store
-                window += hit * mark
-                unseen ^= hit
-            unseen_left += int(np.count_nonzero(unseen))
-    return unseen_left
-
-
-def _cyclic_interval(places: list[int], r: int) -> tuple[int, ...] | None:
-    """``places`` in cyclic order from their first, if they form one nonempty
-    cyclic interval of [0, r); otherwise None."""
-    starts = [p for p in places if (p - 1) % r not in places] or places[:1]
-    if len(starts) != 1:
-        return None
-    return tuple((starts[0] + i) % r for i in range(len(places)))
-
-
-def _coset_groups(kernel: _NeighborKernel) -> dict[tuple[int, ...], np.ndarray]:
-    """A boolean row mask per group of generators, keyed by its digit places P.
-
-    A shift whose vectors are exactly every vector on one cyclic interval P
-    of digit places (at shift 0 the zero vector, the identity, may be
-    missing) joins group P; every other row, pure shifts included, joins the
-    plain group P = ().  Right-multiplying (x; su) by a whole group P reaches
-    the coset of x modulo the vectors on P rotated by su, so every frontier
-    vertex of one coset has the same neighbours through it.
-    """
-    t, r = kernel.t, kernel.r
-    # at source shift 0 the addend is the generator's own dense index
-    shifts, codes = np.divmod(kernel.addends[0], kernel.base)
-    nonzero = kernel.thresholds[:, :r] < t
-    groups: dict[tuple[int, ...], np.ndarray] = {}
-    for sv in sorted(set(shifts.tolist())):
-        mine = shifts == sv
-        places = _cyclic_interval(np.flatnonzero(nonzero[mine].any(axis=0)).tolist(), r) or ()
-        # sets, not np.unique: without return_index that imports numpy.ma
-        distinct = set(codes[mine].tolist())
-        missing = t ** len(places) - len(distinct)
-        if not (missing == 0 or missing == 1 and sv == 0 and 0 not in distinct):
-            places = ()
-        groups[places] = groups.get(places, False) | mine
-    return groups
-
-
-def _runs(rows: np.ndarray) -> list[tuple[int, int]]:
-    """The [start, stop) runs of the rows a boolean mask keeps, which the
-    kernel reads as slices."""
-    bounds = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), rows.size]
-    return [(start, stop) for start, stop in zip(bounds, bounds[1:])
-            if start < stop and rows[start]]
-
-
-def _level_passes(
-    groups: dict[tuple[int, ...], np.ndarray], rows: np.ndarray, frontier: int, n: int
-) -> list[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """The (places, runs of generator rows) passes of one top-down level.
-
-    Of the rows that the mask ``rows`` keeps, a group P gets a pass of its
-    own, which expands one frontier vertex per coset, where its arcs
-    outnumber the vertices (``frontier`` times its rows above ``n``).  The
-    rest go through together in generator order, under P = ().
-    """
-    passes = []
-    for places, members in groups.items():
-        mine = members & rows
-        if places and frontier * int(np.count_nonzero(mine)) > n:
-            passes.append((places, _runs(mine)))
-            rows = rows & ~mine
-    passes.append(((), _runs(rows)))
-    return passes
-
-
-def _representatives(kernel: _NeighborKernel, su: int, vec: np.ndarray,
-                     places: tuple[int, ...]) -> np.ndarray:
-    """One vertex of ``vec`` per coset modulo the vectors on ``places``
-    rotated by ``su``, or ``vec`` itself if no two share a coset.
-
-    ``places`` is a cyclic interval in order from its start.  Each vector
-    part is rotated so that the interval's digits come lowest; sorted in
-    place, the vertices of one coset are then a run of equal higher digits,
-    and the first of each run is rotated back.  So a window holds at most
-    two int64 arrays of its size besides itself, and no index array is
-    formed.
-    """
-    low = kernel.t ** ((places[0] + su) % kernel.r)
-    high = kernel.base // low
-    spun, rest = np.divmod(vec, low)
-    rest *= high
-    spun += rest
-    spun.sort()
-    # the digits above the interval name the coset; rest's buffer holds them
-    coset = np.floor_divide(spun, kernel.t ** len(places), out=rest)
-    first = np.empty(spun.size, dtype=np.bool_)
-    first[:1] = True
-    np.not_equal(coset[1:], coset[:-1], out=first[1:])
-    del coset, rest
-    if first.all():
-        return vec
-    spun = spun[first]
-    rest = np.empty_like(spun)
-    np.divmod(spun, high, out=(rest, spun))
-    spun *= low
-    spun += rest
-    return spun
-
-
-def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel,
-                    passes: list[tuple[tuple[int, ...], list[tuple[int, int]]]],
-                    code: int) -> None:
+def _top_down_level(level_map: np.ndarray, kernel: _NeighborKernel, code: int) -> None:
     """Mark ``code`` on every unseen out-neighbour of a vertex at ``code - 1``.
 
-    Each window of the level before goes through every pass of
-    :func:`_level_passes`, in chunks of about ``_BLOCK_ARCS`` arcs, each a
-    slice of one run of its rows.  A pass
-    with places P expands only one frontier vertex of each coset
-    (:func:`_representatives`): the group's rows take every vertex of a coset
-    to the same neighbours, and where the zero vector is missing at shift 0,
-    the one vertex this leaves out of a coset is that frontier vertex itself.
+    Each window of the level before goes through every generator row of
+    the kernel, in chunks of about ``_BLOCK_ARCS`` arcs, each a slice of
+    consecutive rows.
     """
     base = kernel.base
+    d = kernel.addends.shape[1]
     for su in range(level_map.size // base):
         for vec in _windows(level_map, su, code - 1, base):
-            for places, runs in passes:
-                sources = _representatives(kernel, su, vec, places) if places else vec
-                step = max(1, _BLOCK_ARCS // sources.size)
-                for start, stop in runs:
-                    for g in range(start, stop, step):
-                        nb = kernel.neighbors(su, sources, slice(g, min(g + step, stop)))
-                        level_map[nb[level_map[nb] == 0]] = code
-                        # freed before the next chunk, or the next pass's
-                        # representatives, are formed: a window holds one chunk
-                        del nb
+            step = max(1, _BLOCK_ARCS // vec.size)
+            for g in range(0, d, step):
+                nb = kernel.neighbors(su, vec, slice(g, g + step))
+                level_map[nb[level_map[nb] == 0]] = code
+                # freed before the next chunk is formed: a window holds one
+                # chunk
+                del nb
 
 
 def bfs_from(
@@ -376,16 +224,9 @@ def bfs_from(
 
     Level-synchronous BFS that stops as soon as every vertex is reached:
     the last level is filled in while the one before it is expanded, and is
-    itself never expanded.  Each level is found top-down, by expanding the
-    level before it (:func:`_top_down_level`).  Once that level is large
-    against the vertices still unseen, the slice pass
-    (:func:`_slice_level`) runs first and settles every vertex a pure
-    shift reaches, and top-down runs only if some stay unseen, without the
-    pure shifts.  On the first level whose arcs outnumber the vertices, the
-    generators are grouped by the digit places their shift spans
-    (:func:`_coset_groups`); from then on, a group whose own arcs outnumber
-    the vertices expands one frontier vertex per coset
-    (:func:`_level_passes`).  The level map is the only state carried from
+    itself never expanded.  Each level is found top-down, by expanding every
+    vertex of the level before it through every generator
+    (:func:`_top_down_level`).  The level map is the only state carried from
     one level to the next, and it is read in windows (:func:`_windows`).
     """
     params = gens.params
@@ -393,17 +234,6 @@ def bfs_from(
     if n > cap:
         raise CapExceededError(n, cap)
     kernel = _NeighborKernel(gens)
-    d = len(gens.elements)
-    # the pure cyclic shifts (0; s), which the slice pass reads and top-down
-    # then skips
-    shifts = [sv for vec, sv in gens.elements if not any(vec)]
-    moving = np.array([any(vec) for vec, _ in gens.elements], dtype=np.bool_)
-    # the one pass of a level on which no group can have its own: every row,
-    # or every row but the pure shifts
-    plain = {False: [((), [(0, d)])], True: [((), _runs(moving))]}
-    # grouped on the first level whose arcs outnumber the vertices, the least
-    # a group needs for a pass of its own
-    groups: dict[tuple[int, ...], np.ndarray] = {}
 
     # level + 1 per vertex, 0 while unseen; one byte until a pathological
     # (non-construction) set goes past level 254, then wide enough for n
@@ -411,22 +241,13 @@ def bfs_from(
     level_map[params.encode(source)] = 1
     reached = 1
     histogram = [1]
-    while (unseen := n - reached):
+    while reached < n:
         code = len(histogram) + 1
         if code > np.iinfo(level_map.dtype).max:
             level_map = level_map.astype(np.min_scalar_type(n))
-        sliced = _ALPHA * histogram[-1] > unseen
-        if sliced:
-            unseen = _slice_level(level_map, shifts, code, kernel.base)
-        if unseen:
-            passes = plain[sliced]
-            if histogram[-1] * d > n:
-                groups = groups or _coset_groups(kernel)
-                rows = moving if sliced else np.ones(d, dtype=np.bool_)
-                passes = _level_passes(groups, rows, histogram[-1], n)
-            _top_down_level(level_map, kernel, passes, code)
-        # a top-down chunk can reach one vertex twice, so count the level
-        # once, here: every vertex seen so far is nonzero in the map
+        _top_down_level(level_map, kernel, code)
+        # a chunk can reach one vertex twice, so count the level once, here:
+        # every vertex seen so far is nonzero in the map
         now = int(np.count_nonzero(level_map))
         if now == reached:
             raise DisconnectedGraphError(n - reached, histogram)

@@ -1,6 +1,5 @@
 """Implicit-graph operations: BFS, reports, exports."""
 
-import collections
 import hashlib
 import io
 import itertools
@@ -193,15 +192,19 @@ def test_diameter_equals_claim_across_families():
 def test_distances_fill_the_last_level():
     # the search stops before expanding the last level; that level must
     # still be written into the distance array
-    for spec_text in [
-        "thm1:k=4,d=7",
-        "thm1:k=6,d=7",
-        "thm2:k=5,d=11",
-        "thm3:k=3,l=2,t=3,m=1",
-        "thm4:k=3,l=2,t=3,m=1",
+    for spec_text, histogram in [
+        ("thm1:k=4,d=7", [1, 7, 45, 270, 325]),
+        ("thm1:k=6,d=7", [1, 7, 33, 174, 666, 1998, 2241]),
+        ("thm2:k=5,d=11", [1, 11, 72, 384, 1136, 896]),
+        ("thm3:k=3,l=2,t=3,m=1", [1, 20, 234, 960]),
+        ("thm4:k=3,l=2,t=3,m=1", [1, 34, 364, 816]),
+        ("thm1:k=4,d=10", [1, 10, 96, 864, 1216]),
+        ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141]),
+        ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600]),
     ]:
         result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
-        assert np.bincount(result.distances).tolist() == result.histogram, spec_text
+        assert result.histogram == histogram, spec_text
+        assert np.bincount(result.distances).tolist() == histogram, spec_text
         assert all(type(count) is int for count in result.histogram)
 
 
@@ -251,25 +254,31 @@ def test_bfs_past_level_254_widens_the_level_map():
 
 
 def test_bfs_peak_memory_follows_the_level_map_model():
-    # one byte of level map per vertex and, for t = 2, window temporaries of
-    # at most 34 bytes per arc of a _BLOCK_ARCS window: the window's frontier
-    # indices, a chunk of neighbour indices, the positions of its unseen
-    # entries and those entries (four int64 words), and the gathered map
-    # bytes with their mask; plus the kernel's int64 tables, (r, d) addends
-    # and (d, 2r) thresholds.  The last level's coset passes form their
-    # representatives (two int64 words per entry besides the frontier
-    # indices) while no chunk is held.  An n-byte frontier mask does not fit
-    gens = build(parse_spec("thm3:k=3,l=7,t=2,m=3"))
-    n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
-    tracemalloc.start()
-    try:
-        histogram = bfs_from(gens, gens.params.identity()).histogram
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert histogram == [1, 255, 41368, 2186600]
-    bound = n + 34 * _BLOCK_ARCS + 3 * 8 * r * d
-    assert peak <= bound, (peak - n) / _BLOCK_ARCS
+    # one byte of level map per vertex, plus the kernel's int64 tables, (r, d)
+    # addends and (d, 2r) thresholds, plus window temporaries of at most
+    # per_arc bytes per arc of a _BLOCK_ARCS window.  For t = 2 that is 34:
+    # the window's frontier indices, a chunk of neighbour indices, the
+    # positions of its unseen entries and those entries (four int64 words),
+    # and the gathered map bytes with their mask.  For t > 2 it is 40: while
+    # the kernel takes a digit, the frontier indices and the neighbour chunk
+    # live with the quotient, its floor by t and the digit (five int64 words
+    # when a window's chunk is one generator row, as in thm1:k=4,d=70's full
+    # windows; at place 0 the quotient is the frontier indices themselves, so
+    # thm1 peaks near 32).  An n-byte frontier mask does not fit
+    for spec_text, histogram, per_arc in [
+        ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600], 34),
+        ("thm1:k=4,d=70", [1, 70, 4896, 337824, 642736], 40),
+    ]:
+        gens = build(parse_spec(spec_text))
+        n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
+        tracemalloc.start()
+        try:
+            assert bfs_from(gens, gens.params.identity()).histogram == histogram
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = n + per_arc * _BLOCK_ARCS + 3 * 8 * r * d
+        assert peak <= bound, (spec_text, (peak - n) / _BLOCK_ARCS)
 
 
 @st.composite
@@ -314,11 +323,9 @@ def _check_bfs_against_scalar(gens, source):
 @settings(max_examples=100, deadline=None)
 @given(bfs_cases())
 def test_bfs_matches_scalar_bfs_in_both_directions(case):
-    # groups of 8 to 2,500 vertices: most levels here run the slice pass
-    # before top-down (with no pure shift it settles nothing), the first ones
-    # of the larger groups top-down only; block sizes of 1 and 7 split every
-    # shift into windows in both passes and a top-down window's generators
-    # into chunks, and the real size splits neither here
+    # groups of 8 to 2,500 vertices: block sizes of 1 and 7 split every
+    # shift into windows and a window's generators into chunks, and the real
+    # size splits neither here
     _check_bfs_against_scalar(*case)
 
 
@@ -337,10 +344,9 @@ def pure_shift_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(pure_shift_cases())
 def test_bfs_with_pure_shifts_matches_scalar_bfs(case):
-    # the slice pass reads every pure shift as slices of the level map and
-    # leaves the rest to top-down: here the identity is at times among them,
-    # a shift may repeat, and a block size of 7 leaves a short last window
-    # in shift blocks of 9 to 625 entries
+    # pure shifts change only the shift part of a vertex: here the identity
+    # is at times among them, a shift may repeat, and a block size of 7
+    # leaves a short last window in shift blocks of 9 to 625 entries
     _check_bfs_against_scalar(*case)
 
 
@@ -390,165 +396,19 @@ def _shift_zero_case():
 @given(coset_cases())
 @example(_shift_zero_case())
 def test_bfs_through_coset_groups_matches_scalar_bfs(case):
-    # groups of 8 to 324 vertices and up to 51 generators: where a group's
-    # arcs outnumber the vertices, top-down expands one frontier vertex per
-    # coset and window, so a block size of 1 leaves one vertex per window,
-    # 7 several, and the real size a whole shift block.  In the example a
-    # coset's frontier vertex reaches every other vertex of its coset through
-    # shift 0, where its key (its place 0 and 1 digits cleared), not always
-    # on the frontier, would miss itself
+    # groups of 8 to 324 vertices and up to 51 generators, where many
+    # frontier vertices share their neighbours through a shift's block of
+    # rows: a block size of 1 leaves one vertex per window, 7 several, and
+    # the real size a whole shift block.  In the example a frontier vertex
+    # reaches every other vertex of its coset modulo places 0 and 1 through
+    # shift 0, but not itself, since the zero vector is missing there
     _check_bfs_against_scalar(*case)
-
-
-def _spy_levels(monkeypatch):
-    """The passes of each BFS, as (pass, level) pairs in call order, and the
-    kernel evaluations (neighbour indices formed) per level."""
-    passes, evaluations = [], collections.Counter()
-    kernel_neighbors = _NeighborKernel.neighbors
-    slice_level, top_down_level = cayley._slice_level, cayley._top_down_level
-
-    def neighbors(self, su, vec, selected):
-        nb = kernel_neighbors(self, su, vec, selected)
-        evaluations[passes[-1][1]] += nb.size
-        return nb
-
-    def slice_pass(level_map, shifts, code, base):
-        passes.append(("slice", code - 1))
-        return slice_level(level_map, shifts, code, base)
-
-    def top_down(level_map, kernel, level_passes, code):
-        passes.append(("top-down", code - 1))
-        top_down_level(level_map, kernel, level_passes, code)
-
-    monkeypatch.setattr(_NeighborKernel, "neighbors", neighbors)
-    monkeypatch.setattr(cayley, "_slice_level", slice_pass)
-    monkeypatch.setattr(cayley, "_top_down_level", top_down)
-    return passes, evaluations
-
-
-def test_slice_pass_runs_only_where_the_frontier_is_large(monkeypatch):
-    passes, _ = _spy_levels(monkeypatch)
-    for spec_text, histogram, sliced in [
-        # the last level: 864 frontier vertices, 1,216 unseen
-        ("thm1:k=4,d=10", [1, 10, 96, 864, 1216], [4]),
-        # 14 x 2,709 > 37,017 unseen, then 14 x 15,876 > 21,141
-        ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141], [4, 5]),
-        ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600], []),
-    ]:
-        passes.clear()
-        result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
-        assert result.histogram == histogram, spec_text
-        assert np.bincount(result.distances).tolist() == histogram, spec_text
-        assert [level for name, level in passes if name == "slice"] == sliced, spec_text
-
-
-@pytest.mark.parametrize("spec_text, histogram", [
-    ("thm1:k=4,d=10", [1, 10, 96, 864, 1216]),
-    ("thm1:k=4,d=70", [1, 70, 4896, 337824, 642736]),
-], ids=["thm1:k=4,d=10", "thm1:k=4,d=70"])
-def test_slice_pass_settles_the_last_level_without_the_kernel(
-    monkeypatch, spec_text, histogram
-):
-    # the pure shifts reach every vertex of the last level from the level
-    # before it, so the slice pass leaves none unseen and top-down never runs
-    passes, evaluations = _spy_levels(monkeypatch)
-    gens = build(parse_spec(spec_text))
-    assert bfs_from(gens, gens.params.identity()).histogram == histogram
-    last = len(histogram) - 1
-    assert passes[-1] == ("slice", last)
-    assert ("top-down", last) not in passes
-    assert evaluations[last] == 0
-
-
-def test_top_down_runs_after_the_slice_pass_only_where_vertices_stay_unseen(monkeypatch):
-    # on level 4 the pure shifts leave 32,076 of 37,017 vertices unseen, among
-    # them the 21,141 of level 5, so top-down expands all 2,709 vertices of
-    # level 3 through the 18 generators that are not pure shifts (the slice
-    # pass took the 3 that are); the pure shifts alone settle level 5
-    passes, evaluations = _spy_levels(monkeypatch)
-    gens = build(parse_spec("thm2:k=5,d=21"))
-    histogram = bfs_from(gens, gens.params.identity()).histogram
-    assert histogram == [1, 21, 252, 2709, 15876, 21141]
-    assert passes[-3:] == [("slice", 4), ("top-down", 4), ("slice", 5)]
-    assert evaluations[4] == 2709 * 18 == 48_762
-    assert evaluations[5] == 0
-
-
-
-def test_top_down_expands_one_frontier_vertex_per_coset(monkeypatch):
-    # level 2's 41,368 x 255 arcs outnumber the 2,228,224 vertices, so on the
-    # last level both groups, the 128 long rows and the 127 short ones,
-    # expand one frontier vertex per coset of a window; the levels before
-    # expand every frontier vertex, as no group's arcs outnumber the vertices
-    passes, evaluations = _spy_levels(monkeypatch)
-    gens = build(parse_spec("thm3:k=3,l=7,t=2,m=3"))
-    histogram = bfs_from(gens, gens.params.identity()).histogram
-    assert histogram == [1, 255, 41368, 2186600]
-    assert passes == [("top-down", 1), ("top-down", 2), ("top-down", 3)]
-    assert evaluations == {1: 255, 2: 255 * 255, 3: 4_365_687}
-    assert evaluations[3] < 41368 * 255 == 10_548_840
-
-
-@pytest.mark.parametrize("spec_text", [
-    "thm1:k=4,d=10", "thm1:k=6,d=7", "thm2:k=5,d=21", "thm2:k=6,d=11",
-    "thm3:k=3,l=3,t=2,m=1", "thm3:k=3,l=3,t=3,m=2", "cor:k=3",
-])
-def test_coset_groups_name_each_family_s_intervals(spec_text):
-    # thm1 and thm2: the t shift-and-add rows (a, 0, ..., 0; 1) span place
-    # 0, thm2's inverses (0, ..., 0, -a; -1) place r - 1, and the other pure
-    # shifts are plain; thm3: the long rows span the first l places and the
-    # short rows of every other shift, shift 0 without the identity, the
-    # first m
-    gens = build(parse_spec(spec_text))
-    spec, t, r, d = gens.spec, gens.params.t, gens.params.r, len(gens.elements)
-    if spec.kind == "thm1":
-        expected = {(0,): range(t), (): range(t, d)}
-    elif spec.kind == "thm2":
-        expected = {(0,): range(t), (r - 1,): range(t, 2 * t), (): range(2 * t, d)}
-    else:
-        long = t**spec.ell
-        expected = {tuple(range(spec.ell)): range(long), tuple(range(spec.m)): range(long, d)}
-    groups = cayley._coset_groups(_NeighborKernel(gens))
-    assert {places: np.flatnonzero(rows).tolist() for places, rows in groups.items()} == {
-        places: list(rows) for places, rows in expected.items() if rows
-    }
-
-
-def test_slice_pass_peak_memory_follows_the_window_model(monkeypatch):
-    # a slice level holds the level map (1 byte per vertex) and byte masks
-    # over one _BLOCK_ARCS window: its unseen entries, a slice's hits and
-    # those hits times the level code, within a fourth byte; no index array
-    # is formed
-    gens = build(parse_spec("thm1:k=4,d=70"))
-    n, r, d = gens.params.order(), gens.params.r, len(gens.elements)
-    peaks = []
-    slice_level = cayley._slice_level
-
-    def stepped(*args):
-        tracemalloc.reset_peak()
-        unseen = slice_level(*args)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        return unseen
-
-    monkeypatch.setattr(cayley, "_slice_level", stepped)
-    tracemalloc.start()
-    try:
-        histogram = bfs_from(gens, gens.params.identity()).histogram
-    finally:
-        tracemalloc.stop()
-    assert histogram == [1, 70, 4896, 337824, 642736]
-    assert len(peaks) == 1  # the last level
-    # plus the kernel's int64 tables, (r, d) addends and (d, 2r) thresholds
-    bound = n + 4 * _BLOCK_ARCS + 3 * 8 * r * d
-    assert peaks[0] <= bound, (peaks[0] - n) / _BLOCK_ARCS
 
 
 def test_top_down_chunks_follow_the_block_size(monkeypatch):
     # _BLOCK_ARCS is read when a level runs: at one arc per block, every
-    # window of the three top-down levels (19 generators) holds one vertex
-    # and is expanded one generator row at a time; the last level runs the
-    # slice pass first, which leaves 378 of its 680 vertices to top-down,
-    # and that skips the 6 pure shifts the pass already took
+    # window of the three levels before the last (1, 19 and 196 vertices)
+    # holds one vertex and is expanded one of the 19 generator rows at a time
     levels, rows = [], []
     kernel_neighbors = _NeighborKernel.neighbors
     top_down_level = cayley._top_down_level
@@ -569,7 +429,7 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
     result = bfs_from(gens, gens.params.identity())
     assert result.histogram == [1, 19, 196, 680]
     assert levels == [2, 3, 4]
-    assert len(rows) == 19 * (1 + 19) + 13 * 196
+    assert len(rows) == 19 * (1 + 19 + 196) == 4104
     assert set(rows) == {1}
 
 
