@@ -1,0 +1,70 @@
+"""Record the support route on corollary sets far past the dense cap: build,
+encode and histogram seconds, peak RSS and a histogram digest, paired
+against the base tree.
+
+    python3 scripts/bench_certify.py
+
+Counts the levels of ``cor:k=3,l=12`` (3.2·10^10 vertices),
+``cor:k=3,l=13`` and ``cor:k=4`` (2.8·10^11 each) and ``cor:k=5``
+(6.6·10^15) from digit supports, every run in a fresh child process.  The
+child calls ``supports.histogram`` directly with the budget set to the
+order, so no run falls through to the dense BFS, which could not hold these
+orders; a set the route refuses stops the script.  The children import
+``dbcayley`` alternately from this checkout's ``src/`` and from the base
+tree's, five pairs per instance: the base is HEAD when ``src/`` differs
+from it, else HEAD's parent, extracted with ``git archive`` into a
+temporary directory.  Appends one point to ``BENCH_certify.json`` at the
+repository root: the commit, whether ``src/`` differs from it, a digest of
+the package source, the machine, the base commit, and per instance the
+histogram and its sha256 (which every run must agree on) and per side each
+run's seconds (build, encode and histogram together) and each child's peak
+RSS with their medians, and how many pairs this checkout was faster in.
+Takes about a minute, most of it ``cor:k=5``; each child stays under
+100 MB.
+"""
+
+from __future__ import annotations
+
+import json
+
+from benchpoint import append, run_pairs, stamp
+
+INSTANCES = ("cor:k=3,l=12", "cor:k=3,l=13", "cor:k=4", "cor:k=5")
+PAIRS = 5
+
+# build, encode and histogram in a fresh interpreter, timed together
+CHILD = """
+import hashlib, json, resource, sys, time
+from dbcayley import build, parse_spec, supports
+started = time.perf_counter()
+gens = build(parse_spec(sys.argv[1]))
+params = gens.params
+indices = [params.encode(s) for s in gens.elements]
+histogram = supports.histogram(params, indices, params.order())
+seconds = time.perf_counter() - started
+if histogram is None:
+    raise SystemExit(f"{sys.argv[1]}: the support route refused the set")
+print(json.dumps({
+    "order": params.order(),
+    "degree": len(gens.elements),
+    "histogram": histogram,
+    "histogram_sha256": hashlib.sha256(json.dumps(histogram).encode()).hexdigest(),
+    "seconds": round(seconds, 4),
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+}))
+"""
+
+
+def main() -> None:
+    instances = {}
+    for spec in INSTANCES:
+        instances[spec] = run_pairs(
+            CHILD, [spec], PAIRS, ("order", "degree", "histogram", "histogram_sha256"),
+            "seconds",
+        )
+        print(spec, json.dumps(instances[spec]), flush=True)
+    append("BENCH_certify.json", {**stamp(), "instances": instances})
+
+
+if __name__ == "__main__":
+    main()

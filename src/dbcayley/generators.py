@@ -26,6 +26,7 @@ resolves to a ``thm3`` spec.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -247,10 +248,16 @@ def _digit_block(
 ) -> list[GroupElement]:
     """Every element of the given shift whose vector's digits lie in the
     first ``width`` coordinates, in index order from vector index ``start``;
-    ``shift`` lies in [0, r), and decoded vectors are already canonical."""
+    ``shift`` lies in [0, r), and digits drawn from range(t) are canonical.
+
+    ``itertools.product`` counts with its last digit fastest, so each tuple
+    is reversed to put coordinate 0 least significant, then padded with
+    zeros to length r."""
+    pad = (0,) * (params.r - width)
+    digits = itertools.product(range(params.t), repeat=width)
     return [
-        GroupElement(params.decode(v).vector, shift)
-        for v in range(start, params.t**width)
+        GroupElement(low[::-1] + pad, shift)
+        for low in itertools.islice(digits, start, None)
     ]
 
 

@@ -27,7 +27,8 @@ starting from A(0) = {∅}.  Each level, shift c + s gains S ∪ (J + c) for
 every S in A(c) and J in M_s; the old sets are kept, since the balls are
 nested, and the result is reduced to its maximal sets.  Only the sets that
 joined A(c) on the level before can extend to a support not yet covered, so
-only they are extended.
+only they are extended, and a shift none joined is skipped; each family is
+rotated to J + c once per call.
 
 **Ball sizes.**  The ball at shift c has t^|S| vectors when A(c) = {S}
 (t^r once S holds every place).  Otherwise its size is split place by
@@ -38,12 +39,16 @@ antichains again, and equal parts are counted once.  A level's count is
 the growth of the balls over all shifts; a level that adds nothing ends the
 search with the balls short of the group, as a disconnected set does.
 
-**Budget.**  Every pairwise subset or intersection test counts as one unit,
-and a batch of tests is counted before it runs.  The caller passes the
+**Budget.**  Every pairwise subset or intersection test counts as one unit.
+A split of a ball size charges its tests before it runs them; a reduction
+to the maximal sets charges its tests together when it is done, since how
+many there are depends on which sets it keeps.  The caller passes the
 budget (n, the bytes of the dense BFS's level map, in
-:mod:`dbcayley.cayley`); once a batch would pass it, :func:`histogram`
-returns None, so the work abandoned stays within the budget.  Deep t = 2
-sets, whose antichains grow wide, end here and go to the dense BFS.
+:mod:`dbcayley.cayley`); once the units charged pass it, :func:`histogram`
+returns None.  So whether a set gets a histogram depends only on the units
+it costs in total, and the work abandoned passes the budget by at most one
+reduction: L (L - 1) / 2 tests for L candidate sets.  Deep t = 2 sets,
+whose antichains grow wide, end here and go to the dense BFS.
 
 Supports are bit masks (place i is bit i), and the module is pure Python.
 """
@@ -56,7 +61,7 @@ from .group import GroupParams
 
 
 class _OverBudget(Exception):
-    """The next batch of subset or intersection tests would pass the budget."""
+    """The subset and intersection tests charged have passed the budget."""
 
 
 class _Work:
@@ -85,12 +90,22 @@ def _support(code: int, t: int) -> int:
 
 
 def _maximal(masks: set[int], work: _Work) -> list[int]:
-    """The maximal masks of ``masks``, widest first, then by value."""
+    """The maximal masks of ``masks``, widest first, then by value.
+
+    Each mask is tested against the masks kept before it, one unit a test,
+    charged together once the call is done."""
+    order = sorted(masks)
+    order.sort(key=int.bit_count, reverse=True)  # stable: ties keep value order
     kept: list[int] = []
-    for x in sorted(masks, key=lambda m: (-m.bit_count(), m)):
-        work.spend(len(kept))
-        if not any(x & y == x for y in kept):
+    units = 0
+    for x in order:
+        units += len(kept)
+        for y in kept:
+            if x & y == x:
+                break
+        else:
             kept.append(x)
+    work.spend(units)
     return kept
 
 
@@ -114,19 +129,31 @@ def _union_size(antichain: list[int], t: int, work: _Work) -> int:
             core &= x
             every |= x
         if core:
-            value = t ** core.bit_count() * count(tuple(sorted(x & ~core for x in family)))
+            value = t ** core.bit_count() * count(tuple(sorted([x & ~core for x in family])))
         else:
             p = every & -every
             holding = [x ^ p for x in family if x & p]
             rest = [x for x in family if not x & p]
             # a member without p is never inside one that held it
             work.spend(len(holding) * len(rest))
-            rest += [h for h in holding if not any(h & x == h for x in rest)]
-            value = (t - 1) * count(tuple(sorted(holding))) + count(tuple(sorted(rest)))
+            merged = rest[:]
+            for h in holding:
+                for x in rest:
+                    if h & x == h:
+                        break
+                else:
+                    merged.append(h)
+            merged.sort()
+            holding.sort()
+            value = (t - 1) * count(tuple(holding)) + count(tuple(merged))
         memo[family] = value
         return value
 
-    return count(tuple(sorted(antichain)))
+    size = count(tuple(sorted(antichain)))
+    # count refers to itself, so without this the memo would stay alive
+    # until the cycle collector runs
+    memo.clear()
+    return size
 
 
 def _families(params: GroupParams, indices: Iterable[int], work: _Work) -> list[list[int]] | None:
@@ -149,8 +176,8 @@ def _families(params: GroupParams, indices: Iterable[int], work: _Work) -> list[
 
 def histogram(params: GroupParams, indices: Iterable[int], budget: float) -> list[int] | None:
     """Vertices per distance from the identity, for the generators with dense
-    ``indices``, or None when the set is not support-closed or the work would
-    pass ``budget`` units.
+    ``indices``, or None when the set is not support-closed or the work
+    passes ``budget`` units.
 
     The levels are counted until the balls stop growing: they sum to the
     group order exactly when the set generates the group.
@@ -169,14 +196,18 @@ def histogram(params: GroupParams, indices: Iterable[int], budget: float) -> lis
         balls = [1] + [0] * (r - 1)
         levels = [1]
         reached, n = 1, params.order()
+        # rotated[c][s]: the supports J + c of the family M_s
+        rotated = [[[(j << c | j >> (r - c)) & full for j in family] for family in families]
+                   for c in range(r)]
         while reached < n:
             candidates = [set(antichain) for antichain in antichains]
             for c, fresh in enumerate(joined):
-                for s, family in enumerate(families):
+                if not fresh:
+                    continue
+                for s, family in enumerate(rotated[c]):
                     target = candidates[(c + s) % r]
                     for j in family:
-                        j = (j << c | j >> (r - c)) & full
-                        target.update(x | j for x in fresh)
+                        target.update([x | j for x in fresh])
             for c, masks in enumerate(candidates):
                 antichain = _maximal(masks, work)
                 old = set(antichains[c])

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbcayley import (
     ConstructionSpec,
@@ -22,6 +24,7 @@ from dbcayley import (
     thm4_undirected,
     validate,
 )
+from dbcayley.generators import _digit_block
 
 
 # --- first construction -------------------------------------------------------
@@ -214,6 +217,29 @@ def test_block_generator_order_is_pinned(text, degree, first, digest):
     assert len(codes) == degree
     assert codes[:4] == first
     assert hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest() == digest
+
+
+@st.composite
+def digit_blocks(draw):
+    t = draw(st.integers(2, 5))
+    r = draw(st.integers(2, 6))
+    width = draw(st.integers(0, r))
+    start = draw(st.integers(0, t**width + 2))
+    shift = draw(st.integers(0, r - 1))
+    return GroupParams(t, r), width, shift, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_blocks())
+def test_digit_block_lists_decoded_indices_in_order(block):
+    # the block enumerates digits directly; it must list exactly the
+    # vectors of indices start, ..., t**width - 1, decoded, in that order
+    params, width, shift, start = block
+    expected = [
+        GroupElement(params.decode(v).vector, shift)
+        for v in range(start, params.t**width)
+    ]
+    assert _digit_block(params, width, shift, start) == expected
 
 
 # --- validation reporting -------------------------------------------------------

@@ -1,8 +1,10 @@
 """Histograms from digit supports: the hypothesis check, the budget, the route
 through ``bfs_from_identity`` and agreement with the dense and scalar BFS."""
 
+import gc
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +134,46 @@ def test_family_histograms_equal_the_dense_bfs(spec_text):
     result = bfs_from_identity(gens)
     assert result.method == "supports"
     assert result.histogram == dense(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(0, 2**8 - 1), max_size=40))
+def test_maximal_equals_brute_force_and_charges_one_unit_a_test(masks):
+    # the maximal masks, widest first and then by value; one unit for each
+    # test of a mask against a mask kept before it, in that order
+    maximal = {x for x in masks if not any(x != y and x & y == x for y in masks)}
+    order = sorted(masks, key=lambda m: (-m.bit_count(), m))
+    units, kept = 0, 0
+    for x in order:
+        units += kept
+        kept += x in maximal
+    work = supports._Work(10**9)
+    result = supports._maximal(set(masks), work)
+    assert set(result) == maximal
+    assert result == [x for x in order if x in maximal]
+    assert 10**9 - work.left == units
+    supports._maximal(set(masks), supports._Work(units))
+    if units:
+        with pytest.raises(supports._OverBudget):
+            supports._maximal(set(masks), supports._Work(units - 1))
+
+
+def test_union_size_frees_its_memo_on_return():
+    # the union of V_J over the 4-subsets J of 12 places holds the vectors
+    # of at most 4 nonzero digits; the split's memo of families must be
+    # freed when the call returns, not left to the cycle collector
+    antichain = [sum(1 << p for p in places) for places in itertools.combinations(range(12), 4)]
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        size = supports._union_size(antichain, 2, supports._Work(math.inf))
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert size == sum(math.comb(12, k) for k in range(5))
+    assert left < 4096
 
 
 @st.composite
