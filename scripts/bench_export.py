@@ -13,9 +13,10 @@ Appends one point to ``BENCH_export.json`` at the repository root: the
 commit, whether ``src/`` differs from it, a digest of the package source,
 the machine, the base commit, and per format the file's size and sha256
 (which every run must agree on) and per side each run's export wall seconds,
-minor page faults (``ru_minflt`` over the command alone) and each child's
-peak RSS with their medians, and how many pairs this checkout's export was
-faster in.  Takes about half a minute.
+minor page faults (``ru_minflt`` over the command alone), each child's
+peak RSS and CPU seconds (the whole process, imports included) with their
+medians, and how many pairs this checkout's export was faster in.  Takes
+about half a minute.
 """
 
 from __future__ import annotations

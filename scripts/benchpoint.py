@@ -5,6 +5,8 @@ commit, a digest of the package source and the machine; ``append`` adds it
 to a ``BENCH_<topic>.json`` record at the repository root.  A paired point
 (``run_pairs``) also runs the same child on the base tree, the code this
 checkout changes, alternately with this checkout, and stores both sides.
+Every child run (``run_child``) also records its process's CPU seconds,
+imports included, as ``cpu_s``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import io
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -43,16 +46,25 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_child(code: str, *args: str, src: str = SRC) -> dict:
     """Run ``code`` in a fresh interpreter that imports ``dbcayley`` from
     ``src``, by default this checkout's; its last stdout line is one JSON
-    object."""
+    object, returned with ``cpu_s`` added: the child's user plus system CPU
+    seconds, from start to exit."""
     env = dict(os.environ, PYTHONPATH=src)
+    before = _children_cpu_s()
     out = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
         check=True,
     ).stdout
-    return json.loads(out.splitlines()[-1])
+    # the only child reaped since ``before``: children run one at a time
+    cpu_s = _children_cpu_s() - before
+    return {**json.loads(out.splitlines()[-1]), "cpu_s": round(cpu_s, 4)}
 
 
 def _src_modified() -> bool:

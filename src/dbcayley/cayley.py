@@ -112,6 +112,12 @@ def neighbors(g: GroupElement, gens: GeneratorSet) -> list[GroupElement]:
 _BLOCK_ARCS = 1 << 16
 
 
+def _generator_indices(gens: GeneratorSet) -> list[int]:
+    """The generators' dense indices, in order; encode refuses
+    non-canonical residues."""
+    return [gens.params.encode(s) for s in gens.elements]
+
+
 class _NeighborKernel:
     """Right multiplication by every generator, vectorised over index blocks.
 
@@ -128,19 +134,16 @@ class _NeighborKernel:
     memory budget is the caller's job.
     """
 
-    def __init__(self, gens: GeneratorSet):
+    def __init__(self, gens: GeneratorSet, indices: list[int]):
         params = gens.params
         t, r = params.t, params.r
         self.t, self.r = t, r
         self.base = t**r
         d = len(gens.elements)
         # shifts and vector codes of the generators, from their dense indices
-        # (encode refuses non-canonical residues), and their target-shift
-        # offsets per source shift; alpha^su rotates the code's top su digits
-        # to the bottom
-        shifts, codes = np.divmod(
-            np.array([params.encode(s) for s in gens.elements], dtype=np.int64), self.base
-        )
+        # (:func:`_generator_indices`), and their target-shift offsets per
+        # source shift; alpha^su rotates the code's top su digits to the bottom
+        shifts, codes = np.divmod(np.array(indices, dtype=np.int64), self.base)
         su = np.arange(r, dtype=np.int64)[:, None]
         low = t ** (r - su)
         #: (r, d): the dense index of (alpha^su(v); su + sv) per source shift
@@ -229,11 +232,20 @@ def bfs_from(
     (:func:`_top_down_level`).  The level map is the only state carried from
     one level to the next, and it is read in windows (:func:`_windows`).
     """
-    params = gens.params
-    n = params.order()
+    n = gens.params.order()
     if n > cap:
         raise CapExceededError(n, cap)
-    kernel = _NeighborKernel(gens)
+    return _dense_bfs(gens, _generator_indices(gens), source, want_distances)
+
+
+def _dense_bfs(
+    gens: GeneratorSet, indices: list[int], source: GroupElement, want_distances: bool
+) -> BfsResult:
+    """:func:`bfs_from` past its cap check, the generators given by their
+    dense indices."""
+    params = gens.params
+    n = params.order()
+    kernel = _NeighborKernel(gens, indices)
 
     # level + 1 per vertex, 0 while unseen; one byte until a pathological
     # (non-construction) set goes past level 254, then wide enough for n
@@ -286,16 +298,16 @@ def bfs_from_identity(
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
+    # one list for either route, so a non-canonical residue is refused first
+    indices = _generator_indices(gens)
     if not want_distances:
-        # encode refuses non-canonical residues, as the dense kernel does
-        indices = [params.encode(s) for s in gens.elements]
         histogram = supports.histogram(params, indices, n)
         if histogram is not None:
             if sum(histogram) < n:
                 raise DisconnectedGraphError(n - sum(histogram), histogram)
             return BfsResult(diameter=len(histogram) - 1, histogram=histogram,
                              method="supports")
-    return bfs_from(gens, params.identity(), cap=cap, want_distances=want_distances)
+    return _dense_bfs(gens, indices, params.identity(), want_distances)
 
 
 @dataclass
@@ -462,7 +474,7 @@ def write_graph(
     check_export_cap(gens, cap)
     params = gens.params
     n = params.order()
-    kernel = _NeighborKernel(gens)
+    kernel = _NeighborKernel(gens, _generator_indices(gens))
     base = kernel.base
     d = len(gens.elements)
     if fmt == "dot":

@@ -19,6 +19,9 @@ import os
 import sys
 from fractions import Fraction
 
+# dbcayley makes no BLAS call: spare the per-core OpenBLAS pool its idle spinning
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import compare, optimal_ell
 from .cayley import (
     EXPORT_FORMATS,

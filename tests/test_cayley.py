@@ -322,7 +322,7 @@ def _check_bfs_against_scalar(gens, source):
 
 @settings(max_examples=100, deadline=None)
 @given(bfs_cases())
-def test_bfs_matches_scalar_bfs_in_both_directions(case):
+def test_dense_bfs_matches_scalar_bfs_at_block_sizes_1_7_and_2_16(case):
     # groups of 8 to 2,500 vertices: block sizes of 1 and 7 split every
     # shift into windows and a window's generators into chunks, and the real
     # size splits neither here
@@ -441,12 +441,39 @@ def test_bfs_refuses_non_canonical_generators():
         params, (GroupElement((3, 0, 0), 1), GroupElement((0, 0, 0), 2)), directed=True
     )
     assert not validate(gens).ok
-    with pytest.raises(ParameterError):
-        bfs_from_identity(gens)
+    for want_distances in (False, True):
+        with pytest.raises(ParameterError):
+            bfs_from_identity(gens, want_distances=want_distances)
     canonical = GeneratorSet(
         params, tuple(params.element(*s) for s in gens.elements), directed=True
     )
     assert bfs_from_identity(canonical).histogram == [1, 2, 4, 6, 7, 4]
+
+
+def test_bfs_from_identity_encodes_each_generator_once(monkeypatch):
+    # one list of dense indices serves both routes: the support route, and
+    # the dense BFS where that route declines or distances are wanted (which
+    # also encodes its source, the identity)
+    encoded = []
+    encode = GroupParams.encode
+
+    def spy(self, g):
+        encoded.append(g)
+        return encode(self, g)
+
+    monkeypatch.setattr(GroupParams, "encode", spy)
+    closed = build(parse_spec("thm3:k=3,l=3,t=2,m=1"))
+    params = GroupParams(2, 3)
+    unclosed = GeneratorSet(
+        params, (params.element((1, 0, 0), 1), params.element((0, 0, 0), 2)), directed=True
+    )
+    for gens, want_distances, method in (
+        (closed, False, "supports"), (closed, True, "dense"), (unclosed, False, "dense"),
+    ):
+        encoded.clear()
+        assert bfs_from_identity(gens, want_distances=want_distances).method == method
+        sources = [gens.params.identity()] if method == "dense" else []
+        assert encoded == [*gens.elements, *sources]
 
 
 # --- neighbour kernel ------------------------------------------------------------
@@ -484,7 +511,7 @@ def kernel_cases(draw):
 def _check_kernel(gens, block, rows):
     params = gens.params
     base = params.t**params.r
-    kernel = _NeighborKernel(gens)
+    kernel = _NeighborKernel(gens, [params.encode(s) for s in gens.elements])
     vec = np.array(block, dtype=np.int64)
     expected_gens = [gens.elements[j] for j in np.arange(len(gens.elements))[rows]]
     for su in range(params.r):
