@@ -1,25 +1,26 @@
-"""Record the support route on corollary sets far past the dense cap: build,
-encode and histogram seconds, peak RSS and a histogram digest, paired
-against the base tree.
+"""Record the support route on corollary sets: build and BFS seconds, peak
+RSS and a histogram digest, paired against the base tree.
 
     python3 scripts/bench_certify.py
 
-Counts the levels of ``cor:k=3,l=12`` (3.2·10^10 vertices),
-``cor:k=3,l=13`` and ``cor:k=4`` (2.8·10^11 each) and ``cor:k=5``
-(6.6·10^15) from digit supports, every run in a fresh child process.  The
-child calls ``supports.histogram`` directly with the budget set to the
-order, so no run falls through to the dense BFS, which could not hold these
-orders; a set the route refuses stops the script.  The children import
-``dbcayley`` alternately from this checkout's ``src/`` and from the base
-tree's, five pairs per instance: the base is HEAD when ``src/`` differs
-from it, else HEAD's parent, extracted with ``git archive`` into a
+Counts the levels of ``cor:k=3`` (44,040,192 vertices), ``cor:k=3,l=10``
+(402,653,184), ``cor:k=3,l=12`` (3.2·10^10 vertices), ``cor:k=3,l=13``
+and ``cor:k=4`` (2.8·10^11 each) and ``cor:k=5`` (6.6·10^15) through the
+public ``bfs_from_identity`` with the cap set to the order, every run in a
+fresh child process.  The set must take the support route
+(``method == "supports"``): the child replaces ``cayley.bfs_from``, the
+dense fallback, with a refusal, so a set the route declines stops the
+script instead of allocating a level map of the order.  The children
+import ``dbcayley`` alternately from this checkout's ``src/`` and from the
+base tree's, five pairs per instance: the base is HEAD when ``src/``
+differs from it, else HEAD's parent, extracted with ``git archive`` into a
 temporary directory.  Appends one point to ``BENCH_certify.json`` at the
 repository root: the commit, whether ``src/`` differs from it, a digest of
 the package source, the machine, the base commit, and per instance the
 histogram and its sha256 (which every run must agree on) and per side each
-run's seconds (build, encode and histogram together) and each child's peak
-RSS with their medians, and how many pairs this checkout was faster in.
-Takes about a minute, most of it ``cor:k=5``; each child stays under
+run's seconds (build and BFS together), each child's peak RSS and CPU
+seconds with their medians, and how many pairs this checkout was faster
+in.  Takes about a minute, most of it ``cor:k=5``; each child stays under
 100 MB.
 """
 
@@ -29,26 +30,31 @@ import json
 
 from benchpoint import append, run_pairs, stamp
 
-INSTANCES = ("cor:k=3,l=12", "cor:k=3,l=13", "cor:k=4", "cor:k=5")
+INSTANCES = ("cor:k=3", "cor:k=3,l=10", "cor:k=3,l=12", "cor:k=3,l=13", "cor:k=4", "cor:k=5")
 PAIRS = 5
 
-# build, encode and histogram in a fresh interpreter, timed together
+# build and BFS in a fresh interpreter, timed together
 CHILD = """
 import hashlib, json, resource, sys, time
-from dbcayley import build, parse_spec, supports
+from dbcayley import bfs_from_identity, build, cayley, parse_spec
+spec = sys.argv[1]
+
+def refused(*args, **kwargs):
+    raise SystemExit(f"{spec}: the support route refused the set")
+
+cayley.bfs_from = refused
 started = time.perf_counter()
-gens = build(parse_spec(sys.argv[1]))
-params = gens.params
-indices = [params.encode(s) for s in gens.elements]
-histogram = supports.histogram(params, indices, params.order())
+gens = build(parse_spec(spec))
+order = gens.params.order()
+result = bfs_from_identity(gens, cap=order)
 seconds = time.perf_counter() - started
-if histogram is None:
-    raise SystemExit(f"{sys.argv[1]}: the support route refused the set")
+if result.method != "supports":
+    refused()
 print(json.dumps({
-    "order": params.order(),
+    "order": order,
     "degree": len(gens.elements),
-    "histogram": histogram,
-    "histogram_sha256": hashlib.sha256(json.dumps(histogram).encode()).hexdigest(),
+    "histogram": result.histogram,
+    "histogram_sha256": hashlib.sha256(json.dumps(result.histogram).encode()).hexdigest(),
     "seconds": round(seconds, 4),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
 }))

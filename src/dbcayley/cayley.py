@@ -112,12 +112,6 @@ def neighbors(g: GroupElement, gens: GeneratorSet) -> list[GroupElement]:
 _BLOCK_ARCS = 1 << 16
 
 
-def _generator_indices(gens: GeneratorSet) -> list[int]:
-    """The generators' dense indices, in order; encode refuses
-    non-canonical residues."""
-    return [gens.params.encode(s) for s in gens.elements]
-
-
 class _NeighborKernel:
     """Right multiplication by every generator, vectorised over index blocks.
 
@@ -131,19 +125,22 @@ class _NeighborKernel:
     where the term at i = r-1 subtracts t**r, the wrap of the top digit.
     Only digit places where some selected generator has a nonzero digit are
     read.  A call evaluates exactly the rows it is given; sizing them to a
-    memory budget is the caller's job.
+    memory budget is the caller's job.  The kernel takes each generator's
+    shift and vector code from its dense index (:meth:`GroupParams.encode`,
+    which refuses a non-canonical generator).
     """
 
-    def __init__(self, gens: GeneratorSet, indices: list[int]):
+    def __init__(self, gens: GeneratorSet):
         params = gens.params
         t, r = params.t, params.r
         self.t, self.r = t, r
         self.base = t**r
         d = len(gens.elements)
-        # shifts and vector codes of the generators, from their dense indices
-        # (:func:`_generator_indices`), and their target-shift offsets per
-        # source shift; alpha^su rotates the code's top su digits to the bottom
-        shifts, codes = np.divmod(np.array(indices, dtype=np.int64), self.base)
+        # the generators' target-shift offsets per source shift; alpha^su
+        # rotates the code's top su digits to the bottom
+        shifts, codes = np.divmod(
+            np.array([params.encode(s) for s in gens.elements], dtype=np.int64), self.base
+        )
         su = np.arange(r, dtype=np.int64)[:, None]
         low = t ** (r - su)
         #: (r, d): the dense index of (alpha^su(v); su + sv) per source shift
@@ -232,20 +229,11 @@ def bfs_from(
     (:func:`_top_down_level`).  The level map is the only state carried from
     one level to the next, and it is read in windows (:func:`_windows`).
     """
-    n = gens.params.order()
-    if n > cap:
-        raise CapExceededError(n, cap)
-    return _dense_bfs(gens, _generator_indices(gens), source, want_distances)
-
-
-def _dense_bfs(
-    gens: GeneratorSet, indices: list[int], source: GroupElement, want_distances: bool
-) -> BfsResult:
-    """:func:`bfs_from` past its cap check, the generators given by their
-    dense indices."""
     params = gens.params
     n = params.order()
-    kernel = _NeighborKernel(gens, indices)
+    if n > cap:
+        raise CapExceededError(n, cap)
+    kernel = _NeighborKernel(gens)
 
     # level + 1 per vertex, 0 while unseen; one byte until a pathological
     # (non-construction) set goes past level 254, then wide enough for n
@@ -287,27 +275,30 @@ def bfs_from_identity(
 
     For directed sets this is the out-eccentricity of the identity, which
     vertex-transitivity makes equal to the digraph diameter.  The refusals
-    come first: above ``cap`` vertices, or for a generator with a residue out
-    of range.  Without ``want_distances`` the levels are then counted from
-    digit supports (:func:`dbcayley.supports.histogram`, method
-    ``"supports"``) where the set is support-closed and the work stays within
-    n subset tests; otherwise, and whenever distances are wanted, by the
-    dense BFS (:func:`bfs_from`, method ``"dense"``).
+    come first: above ``cap`` vertices, or for a generator that is not
+    canonical (:meth:`GroupParams.canonical`: a residue out of range, or a
+    vector whose length is not r).  Without ``want_distances`` the levels are
+    then counted from the generators' digit supports
+    (:func:`dbcayley.supports.histogram`, method ``"supports"``) where the
+    set is support-closed and the work stays within n subset tests;
+    otherwise, and whenever distances are wanted, by the dense BFS
+    (:func:`bfs_from`, method ``"dense"``).
     """
     params = gens.params
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
-    # one list for either route, so a non-canonical residue is refused first
-    indices = _generator_indices(gens)
+    if not params.canonical(gens.elements):
+        raise ParameterError("generators must be canonical: vectors of length r "
+                             "over [0, t), shifts in [0, r)")
     if not want_distances:
-        histogram = supports.histogram(params, indices, n)
+        histogram = supports.histogram(params, gens.elements, n)
         if histogram is not None:
             if sum(histogram) < n:
                 raise DisconnectedGraphError(n - sum(histogram), histogram)
             return BfsResult(diameter=len(histogram) - 1, histogram=histogram,
                              method="supports")
-    return _dense_bfs(gens, indices, params.identity(), want_distances)
+    return bfs_from(gens, params.identity(), cap=cap, want_distances=want_distances)
 
 
 @dataclass
@@ -474,7 +465,7 @@ def write_graph(
     check_export_cap(gens, cap)
     params = gens.params
     n = params.order()
-    kernel = _NeighborKernel(gens, _generator_indices(gens))
+    kernel = _NeighborKernel(gens)
     base = kernel.base
     d = len(gens.elements)
     if fmt == "dot":

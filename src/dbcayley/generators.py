@@ -184,13 +184,11 @@ class ValidationReport:
 
 def validate(gens: GeneratorSet) -> ValidationReport:
     """Check canonical residues, distinctness, identity-freeness, symmetry
-    and size of a set; elements are compared in canonical form."""
+    and size of a set; elements are compared in canonical form.  A vector
+    whose length is not r is no element, and raises ParameterError."""
     params = gens.params
     canonical, non_canonical = gens.elements, []
-    # every residue in range, checked over the distinct ones: the usual case
-    digits = set().union(*(vec for vec, _ in gens.elements)) or {0}
-    shifts = {sv for _, sv in gens.elements} or {0}
-    if min(digits) < 0 or max(digits) >= params.t or min(shifts) < 0 or max(shifts) >= params.r:
+    if not params.canonical(gens.elements):
         canonical = [params.element(*el) for el in gens.elements]
         non_canonical = [el for el, canon in zip(gens.elements, canonical) if el != canon]
     seen: set[GroupElement] = set()

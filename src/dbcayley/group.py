@@ -21,7 +21,7 @@ All operations are pure functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 #: Default ceiling on the number of dense states (visited-array slots) any
 #: index-based operation may allocate.  Operations refuse, rather than
@@ -136,6 +136,18 @@ class GroupParams:
         if not 0 <= x.shift < self.r:
             raise ParameterError(f"shift {x.shift} outside [0, {self.r})")
         return x.shift * t**self.r + value
+
+    def canonical(self, elements: Collection[GroupElement]) -> bool:
+        """Whether every element is canonical, as :meth:`encode` requires: a
+        vector of length r with residues in [0, t), and a shift in [0, r).
+
+        The residues are checked over the distinct ones."""
+        if not elements:
+            return True
+        vectors, shifts = zip(*elements)
+        digits = set().union(*vectors)
+        return (set(map(len, vectors)) == {self.r} and 0 <= min(digits) and max(digits) < self.t
+                and 0 <= min(shifts) and max(shifts) < self.r)
 
     def decode(self, index: int) -> GroupElement:
         """Inverse of :meth:`encode`."""

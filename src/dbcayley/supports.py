@@ -17,10 +17,11 @@ V_{S ∪ (J + c)} at shift c + s.  So the ball of radius j at shift c is the
 union of V_S over the supports S that words of at most j letters place when
 they end at shift c, and a vertex's distance depends only on (supp x, c).
 
-**Hypothesis check.**  Per shift s, C_s is the set of distinct vector codes
-(with 0 at s = 0) and M_s the maximal supports among them.  C_s lies in the
-union of V_J over M_s, so the set is support-closed exactly when that union
-has |C_s| vectors; otherwise :func:`histogram` returns None.
+**Hypothesis check.**  Per shift s, C_s is the set of distinct generator
+vectors (with the zero vector at s = 0) and M_s the maximal supports among
+them.  C_s lies in the union of V_J over M_s, so the set is support-closed
+exactly when that union has |C_s| vectors; otherwise :func:`histogram`
+returns None.
 
 **Antichain BFS.**  A(c) holds the maximal supports of the ball at shift c,
 starting from A(0) = {∅}.  Each level, shift c + s gains S ∪ (J + c) for
@@ -55,9 +56,10 @@ Supports are bit masks (place i is bit i), and the module is pure Python.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable
 
-from .group import GroupParams
+from .group import GroupElement, GroupParams
 
 
 class _OverBudget(Exception):
@@ -74,19 +76,6 @@ class _Work:
         self.left -= units
         if self.left < 0:
             raise _OverBudget
-
-
-def _support(code: int, t: int) -> int:
-    """The support mask of a vector code, whose digit i is place i."""
-    if t == 2:
-        return code
-    mask, place = 0, 0
-    while code:
-        code, digit = divmod(code, t)
-        if digit:
-            mask |= 1 << place
-        place += 1
-    return mask
 
 
 def _maximal(masks: set[int], work: _Work) -> list[int]:
@@ -156,28 +145,34 @@ def _union_size(antichain: list[int], t: int, work: _Work) -> int:
     return size
 
 
-def _families(params: GroupParams, indices: Iterable[int], work: _Work) -> list[list[int]] | None:
+def _families(params: GroupParams, elements: Iterable[GroupElement],
+              work: _Work) -> list[list[int]] | None:
     """M_s per shift s, or None when the set is not support-closed."""
     t, r = params.t, params.r
-    base = t**r
-    codes: list[set[int]] = [set() for _ in range(r)]
-    codes[0].add(0)  # the identity costs no step
-    for index in indices:
-        shift, code = divmod(index, base)
-        codes[shift].add(code)
+    places = [1 << i for i in range(r)]
+    vectors: list[set[tuple[int, ...]]] = [set() for _ in range(r)]
+    vectors[0].add((0,) * r)  # the identity costs no step
+    for vec, shift in elements:
+        vectors[shift].add(vec)
     families = []
-    for vectors in codes:
-        family = _maximal({_support(code, t) for code in vectors}, work)
-        if _union_size(family, t, work) != len(vectors):
+    for distinct in vectors:
+        # a support mask sums the bits of the nonzero places
+        family = _maximal({sum(compress(places, vec)) for vec in distinct}, work)
+        if _union_size(family, t, work) != len(distinct):
             return None
         families.append(family)
     return families
 
 
-def histogram(params: GroupParams, indices: Iterable[int], budget: float) -> list[int] | None:
-    """Vertices per distance from the identity, for the generators with dense
-    ``indices``, or None when the set is not support-closed or the work
+def histogram(params: GroupParams, elements: Iterable[GroupElement],
+              budget: float) -> list[int] | None:
+    """Vertices per distance from the identity, for the generators
+    ``elements``, or None when the set is not support-closed or the work
     passes ``budget`` units.
+
+    Each generator is read as its vector and shift, which must be canonical
+    (:meth:`GroupParams.canonical`); a vector's support is the set of its
+    nonzero coordinates.
 
     The levels are counted until the balls stop growing: they sum to the
     group order exactly when the set generates the group.
@@ -186,7 +181,7 @@ def histogram(params: GroupParams, indices: Iterable[int], budget: float) -> lis
     t, r = params.t, params.r
     full = (1 << r) - 1
     try:
-        families = _families(params, indices, work)
+        families = _families(params, elements, work)
         if families is None:
             return None
         antichains: list[list[int]] = [[0]] + [[] for _ in range(r - 1)]

@@ -356,8 +356,8 @@ def coset_cases(draw):
     """A directed set in which one to three shifts carry every vector on a
     random cyclic interval of digit places, plus up to three random rows, in
     a random generator order, and a source.  The zero vector is at times
-    left out: at shift 0 it is the identity, and at any other shift the
-    shift's rows are then no group."""
+    left out (at shift 0 it is the identity), and such a shift then carries
+    every vector on its interval but that one."""
     t = draw(st.integers(2, 3))
     r = draw(st.integers(2, 4))
     params = GroupParams(t, r)
@@ -395,13 +395,16 @@ def _shift_zero_case():
 @settings(max_examples=80, deadline=None)
 @given(coset_cases())
 @example(_shift_zero_case())
-def test_bfs_through_coset_groups_matches_scalar_bfs(case):
-    # groups of 8 to 324 vertices and up to 51 generators, where many
-    # frontier vertices share their neighbours through a shift's block of
-    # rows: a block size of 1 leaves one vertex per window, 7 several, and
-    # the real size a whole shift block.  In the example a frontier vertex
-    # reaches every other vertex of its coset modulo places 0 and 1 through
-    # shift 0, but not itself, since the zero vector is missing there
+def test_dense_bfs_matches_scalar_bfs_with_every_vector_on_cyclic_intervals(case):
+    # groups of 8 to 324 vertices and up to 51 generators, in which one to
+    # three shifts carry every vector on a cyclic interval of places: the
+    # frontier vertices that differ only on that interval share their
+    # neighbours through those rows, so a chunk marks one vertex many times
+    # and the level must count it once.  A block size of 1 leaves one vertex
+    # per window, 7 several, and the real size a whole shift block.  In the
+    # example shift 0 carries every vector on places 0 and 1 but the zero
+    # vector, so a frontier vertex reaches every vertex that differs from it
+    # only there, but not itself
     _check_bfs_against_scalar(*case)
 
 
@@ -444,6 +447,12 @@ def test_bfs_refuses_non_canonical_generators():
     for want_distances in (False, True):
         with pytest.raises(ParameterError):
             bfs_from_identity(gens, want_distances=want_distances)
+    # a shift out of range (4 would alias 1) and a vector of length r - 1
+    for first in (GroupElement((1, 0, 0), 4), GroupElement((1, 0), 1)):
+        other = GeneratorSet(params, (first, GroupElement((0, 0, 0), 2)), directed=True)
+        for want_distances in (False, True):
+            with pytest.raises(ParameterError):
+                bfs_from_identity(other, want_distances=want_distances)
     canonical = GeneratorSet(
         params, tuple(params.element(*s) for s in gens.elements), directed=True
     )
@@ -451,9 +460,10 @@ def test_bfs_refuses_non_canonical_generators():
 
 
 def test_bfs_from_identity_encodes_each_generator_once(monkeypatch):
-    # one list of dense indices serves both routes: the support route, and
-    # the dense BFS where that route declines or distances are wanted (which
-    # also encodes its source, the identity)
+    # the support route reads the generators' vectors and encodes nothing;
+    # the dense BFS, where that route declines or distances are wanted,
+    # encodes each generator once for its kernel, then its source, the
+    # identity
     encoded = []
     encode = GroupParams.encode
 
@@ -472,8 +482,8 @@ def test_bfs_from_identity_encodes_each_generator_once(monkeypatch):
     ):
         encoded.clear()
         assert bfs_from_identity(gens, want_distances=want_distances).method == method
-        sources = [gens.params.identity()] if method == "dense" else []
-        assert encoded == [*gens.elements, *sources]
+        expected = [*gens.elements, gens.params.identity()] if method == "dense" else []
+        assert encoded == expected
 
 
 # --- neighbour kernel ------------------------------------------------------------
@@ -511,7 +521,7 @@ def kernel_cases(draw):
 def _check_kernel(gens, block, rows):
     params = gens.params
     base = params.t**params.r
-    kernel = _NeighborKernel(gens, [params.encode(s) for s in gens.elements])
+    kernel = _NeighborKernel(gens)
     vec = np.array(block, dtype=np.int64)
     expected_gens = [gens.elements[j] for j in np.arange(len(gens.elements))[rows]]
     for su in range(params.r):

@@ -285,6 +285,9 @@ def test_validate_flags_non_canonical_elements():
     assert any("outside [0, t)" in p for p in report.problems)
     canonical = GeneratorSet(params, (params.element([1, 0, 0], 1),), directed=True)
     assert validate(canonical).ok and not validate(canonical).non_canonical
+    # a vector of length r - 1 is no element of the group
+    with pytest.raises(ParameterError):
+        validate(GeneratorSet(params, (GroupElement((1, 0), 1),), directed=True))
 
 
 # --- corollary parameter selection ----------------------------------------------

@@ -172,6 +172,7 @@ def test_encode_layout_fixed_points():
 @pytest.mark.parametrize("t,r", [(2, 3), (3, 4), (2, 10), (5, 6)])
 def test_encode_decode_roundtrip_exhaustive(t, r):
     params = GroupParams(t, r)
+    assert params.canonical(tuple(params.elements())) and params.canonical(())
     for index, element in enumerate(params.elements()):
         assert params.encode(element) == index
         assert params.decode(index) == element
@@ -199,11 +200,14 @@ def test_encode_decode_roundtrip_above_state_cap():
     GroupElement((0, -1, 0), 1),
     GroupElement((0, 0, 0), 3),  # would be index 24, the order
     GroupElement((1, 0, 0), -1),
+    GroupElement((1, 0), 1),  # a vector of length r - 1
 ])
 def test_encode_rejects_non_canonical_residues(element):
+    # canonical states encode's rule for a whole set
     params = GroupParams(2, 3)
     with pytest.raises(ParameterError):
         params.encode(element)
+    assert not params.canonical([params.identity(), element])
 
 
 def test_decode_rejects_out_of_range():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbcayley import (
+    DEFAULT_STATE_CAP,
     CapExceededError,
     DisconnectedGraphError,
     GeneratorSet,
@@ -41,8 +42,7 @@ def dense(gens):
 
 def unbounded(gens):
     """The support histogram with no work budget, or None if not support-closed."""
-    params = gens.params
-    return supports.histogram(params, [params.encode(s) for s in gens.elements], math.inf)
+    return supports.histogram(gens.params, gens.elements, math.inf)
 
 
 @pytest.mark.parametrize("spec_text, histogram", [
@@ -64,9 +64,7 @@ def test_deep_t2_sets_fall_back_through_the_budget():
     result = bfs_from_identity(gens)
     assert result.method == "dense"
     assert result.histogram == [1, 31, 476, 3732, 18458, 61172, 134104, 176236, 97310]
-    params = gens.params
-    assert supports.histogram(params, [params.encode(s) for s in gens.elements],
-                              params.order()) is None
+    assert supports.histogram(gens.params, gens.elements, gens.params.order()) is None
 
 
 def test_want_distances_always_runs_dense():
@@ -87,12 +85,37 @@ def test_refusals_come_before_either_path(monkeypatch):
     with pytest.raises(CapExceededError) as excinfo:
         bfs_from_identity(build(parse_spec("thm3:k=3,l=9,t=2,m=3")), cap=1_000_000)
     assert excinfo.value.required == 44_040_192
+    # a digit out of range, a shift out of range, a vector of length r - 1
     params = GroupParams(2, 3)
-    gens = GeneratorSet(
-        params, (GroupElement((3, 0, 0), 1), GroupElement((0, 0, 0), 2)), directed=True
+    for first in (GroupElement((3, 0, 0), 1), GroupElement((1, 0, 0), 4),
+                  GroupElement((1, 0), 1)):
+        gens = GeneratorSet(params, (first, GroupElement((0, 0, 0), 2)), directed=True)
+        for want_distances in (False, True):
+            with pytest.raises(ParameterError):
+                bfs_from_identity(gens, want_distances=want_distances)
+
+
+def test_dense_fallback_goes_through_bfs_from(monkeypatch):
+    # bfs_from is the one dense entry point: a set that is not support-closed
+    # (shift 1 holds (1,0,0) without (0,0,0)), or a call that wants
+    # distances, reaches it with the identity, the cap and the flag
+    calls = []
+
+    def stub(gens, source, cap, want_distances):
+        calls.append((gens, source, cap, want_distances))
+        return "dense"
+
+    monkeypatch.setattr(cayley, "bfs_from", stub)
+    params = GroupParams(2, 3)
+    unclosed = GeneratorSet(
+        params, (params.element((1, 0, 0), 1), params.element((0, 0, 0), 2)), directed=True
     )
-    with pytest.raises(ParameterError):
-        bfs_from_identity(gens)
+    closed = build(parse_spec("thm3:k=3,l=3,t=2,m=1"))
+    assert bfs_from_identity(unclosed, cap=100) == "dense"
+    assert bfs_from_identity(closed, want_distances=True) == "dense"
+    assert bfs_from_identity(closed).method == "supports"
+    assert calls == [(unclosed, params.identity(), 100, False),
+                     (closed, closed.params.identity(), DEFAULT_STATE_CAP, True)]
 
 
 def test_disconnected_set_raises_from_supports(monkeypatch):
