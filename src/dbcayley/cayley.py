@@ -125,22 +125,21 @@ class _NeighborKernel:
     where the term at i = r-1 subtracts t**r, the wrap of the top digit.
     Only digit places where some selected generator has a nonzero digit are
     read.  A call evaluates exactly the rows it is given; sizing them to a
-    memory budget is the caller's job.  The kernel takes each generator's
-    shift and vector code from its dense index (:meth:`GroupParams.encode`,
-    which refuses a non-canonical generator).
+    memory budget is the caller's job.  The kernel reads each generator's
+    vector and shift as they are, which a :class:`GeneratorSet` keeps
+    canonical.
     """
 
     def __init__(self, gens: GeneratorSet):
-        params = gens.params
-        t, r = params.t, params.r
+        t, r = gens.params.t, gens.params.r
         self.t, self.r = t, r
         self.base = t**r
         d = len(gens.elements)
-        # the generators' target-shift offsets per source shift; alpha^su
+        vectors = np.array([vec for vec, _ in gens.elements], dtype=np.int64).reshape(d, r)
+        shifts = np.array([shift for _, shift in gens.elements], dtype=np.int64)
+        # each vector's code, coordinate 0 least significant; alpha^su
         # rotates the code's top su digits to the bottom
-        shifts, codes = np.divmod(
-            np.array([params.encode(s) for s in gens.elements], dtype=np.int64), self.base
-        )
+        codes = (vectors * t ** np.arange(r, dtype=np.int64)).sum(axis=1)
         su = np.arange(r, dtype=np.int64)[:, None]
         low = t ** (r - su)
         #: (r, d): the dense index of (alpha^su(v); su + sv) per source shift
@@ -148,8 +147,7 @@ class _NeighborKernel:
         #: (d, 2r): carry threshold t - a_i per unrotated digit, twice over,
         #: so columns r - su .. 2r - su are the thresholds rotated by su; a
         #: zero digit gives t, which no digit reaches
-        vectors = np.array([vec for vec, _ in gens.elements], dtype=np.int64)
-        self.thresholds = np.tile(t - vectors.reshape(d, r), 2)
+        self.thresholds = np.tile(t - vectors, 2)
 
     def neighbors(self, su: int, vec: np.ndarray, rows: slice | np.ndarray) -> np.ndarray:
         """Neighbour indices of a block through the generators ``rows`` selects.
@@ -274,11 +272,9 @@ def bfs_from_identity(
     """Exact diameter and distance histogram of the (di)graph.
 
     For directed sets this is the out-eccentricity of the identity, which
-    vertex-transitivity makes equal to the digraph diameter.  The refusals
-    come first: above ``cap`` vertices, or for a generator that is not
-    canonical (:meth:`GroupParams.canonical`: a residue out of range, or a
-    vector whose length is not r).  Without ``want_distances`` the levels are
-    then counted from the generators' digit supports
+    vertex-transitivity makes equal to the digraph diameter.  Above ``cap``
+    vertices it refuses before either route.  Without ``want_distances`` the
+    levels are counted from the generators' digit supports
     (:func:`dbcayley.supports.histogram`, method ``"supports"``) where the
     set is support-closed and the work stays within n subset tests;
     otherwise, and whenever distances are wanted, by the dense BFS
@@ -288,11 +284,8 @@ def bfs_from_identity(
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
-    if not params.canonical(gens.elements):
-        raise ParameterError("generators must be canonical: vectors of length r "
-                             "over [0, t), shifts in [0, r)")
     if not want_distances:
-        histogram = supports.histogram(params, gens.elements, n)
+        histogram = supports.histogram(gens, n)
         if histogram is not None:
             if sum(histogram) < n:
                 raise DisconnectedGraphError(n - sum(histogram), histogram)

@@ -2,9 +2,9 @@
 
 Construction specs are one-line strings (``thm1:k=4,d=3``, ``cor:k=3``);
 reports render as JSON (default) or a plain table.  Integer JSON fields
-that exceed 2**53 are emitted as decimal strings so arbitrary-precision
-orders survive consumers with double-width numbers; ``moore_ratio`` is an
-exact "p/q" string.
+and histogram counts at or above 2**53 are emitted as decimal strings so
+arbitrary-precision orders survive consumers with double-width numbers;
+``moore_ratio`` is an exact "p/q" string.
 
 Exit codes: 0 success, 1 invariant or diameter failure, 2 usage error,
 3 resource refusal (state or arc cap exceeded).
@@ -58,7 +58,8 @@ def report_to_dict(report: GraphReport) -> dict:
         "directed": report.directed,
         "diameter": report.diameter,
         "claimed_diameter": report.claimed_diameter,
-        "histogram": report.histogram,
+        "histogram": (None if report.histogram is None
+                      else [_json_number(count) for count in report.histogram]),
         "moore_ratio": str(Fraction(report.moore_ratio)),
         "validation": {
             "ok": v.ok,

@@ -136,7 +136,9 @@ class ConstructionSpec:
 
 @dataclass
 class GeneratorSet:
-    """An ordered, identity-free generator list with its ambient group."""
+    """An ordered generator list with its ambient group; canonical, checked at
+    construction (:meth:`GroupParams.canonical`): each element is a vector of
+    length r over [0, t) with a shift in [0, r), else ParameterError."""
 
     params: GroupParams
     elements: tuple[GroupElement, ...]
@@ -147,6 +149,9 @@ class GeneratorSet:
 
     def __post_init__(self) -> None:
         self.elements = tuple(self.elements)
+        if not self.params.canonical(self.elements):
+            raise ParameterError("generators must be canonical: vectors of length r "
+                                 "over [0, t), shifts in [0, r)")
         if self.expected_size is None:
             self.expected_size = len(self.elements)
 
@@ -168,8 +173,6 @@ class ValidationReport:
     duplicates: list[GroupElement] = field(default_factory=list)
     missing_inverses: list[GroupElement] = field(default_factory=list)
     problems: list[str] = field(default_factory=list)
-    #: elements with a residue outside [0, t) or [0, r)
-    non_canonical: list[GroupElement] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -178,32 +181,28 @@ class ValidationReport:
             and self.identity_free
             and self.size_ok
             and self.symmetric is not False
-            and not self.non_canonical
         )
 
 
 def validate(gens: GeneratorSet) -> ValidationReport:
-    """Check canonical residues, distinctness, identity-freeness, symmetry
-    and size of a set; elements are compared in canonical form.  A vector
-    whose length is not r is no element, and raises ParameterError."""
+    """Check distinctness, identity-freeness, symmetry and size of a set.
+
+    A :class:`GeneratorSet` is canonical by construction, so elements are
+    compared as they are."""
     params = gens.params
-    canonical, non_canonical = gens.elements, []
-    if not params.canonical(gens.elements):
-        canonical = [params.element(*el) for el in gens.elements]
-        non_canonical = [el for el, canon in zip(gens.elements, canonical) if el != canon]
     seen: set[GroupElement] = set()
     duplicates = []
-    for el, canon in zip(gens.elements, canonical):
-        if canon in seen:
+    for el in gens.elements:
+        if el in seen:
             duplicates.append(el)
-        seen.add(canon)
+        seen.add(el)
     identity_present = params.identity() in seen
 
     symmetric: bool | None = None
     missing = []
     if not gens.directed:
-        for el, canon in zip(gens.elements, canonical):
-            if params.inv(canon) not in seen:
+        for el in gens.elements:
+            if params.inv(el) not in seen:
                 missing.append(el)
         symmetric = not missing
 
@@ -211,11 +210,6 @@ def validate(gens: GeneratorSet) -> ValidationReport:
     size_ok = len(gens.elements) == expected
 
     problems = []
-    if non_canonical:
-        problems.append(
-            f"{len(non_canonical)} elements with residues outside [0, t) or [0, r), "
-            f"e.g. {non_canonical[0]}"
-        )
     if duplicates:
         problems.append(f"{len(duplicates)} duplicate elements, e.g. {duplicates[0]}")
     if identity_present:
@@ -237,7 +231,6 @@ def validate(gens: GeneratorSet) -> ValidationReport:
         duplicates=duplicates,
         missing_inverses=missing,
         problems=problems,
-        non_canonical=non_canonical,
     )
 
 

@@ -52,14 +52,16 @@ reduction: L (L - 1) / 2 tests for L candidate sets.  Deep t = 2 sets,
 whose antichains grow wide, end here and go to the dense BFS.
 
 Supports are bit masks (place i is bit i), and the module is pure Python.
+It reads a :class:`~dbcayley.generators.GeneratorSet`'s vectors and shifts
+as they are: the set is canonical by construction, so distinct vectors at a
+shift are distinct elements.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable
 
-from .group import GroupElement, GroupParams
+from .generators import GeneratorSet
 
 
 class _OverBudget(Exception):
@@ -145,14 +147,13 @@ def _union_size(antichain: list[int], t: int, work: _Work) -> int:
     return size
 
 
-def _families(params: GroupParams, elements: Iterable[GroupElement],
-              work: _Work) -> list[list[int]] | None:
+def _families(gens: GeneratorSet, work: _Work) -> list[list[int]] | None:
     """M_s per shift s, or None when the set is not support-closed."""
-    t, r = params.t, params.r
+    t, r = gens.params.t, gens.params.r
     places = [1 << i for i in range(r)]
     vectors: list[set[tuple[int, ...]]] = [set() for _ in range(r)]
     vectors[0].add((0,) * r)  # the identity costs no step
-    for vec, shift in elements:
+    for vec, shift in gens.elements:
         vectors[shift].add(vec)
     families = []
     for distinct in vectors:
@@ -164,24 +165,24 @@ def _families(params: GroupParams, elements: Iterable[GroupElement],
     return families
 
 
-def histogram(params: GroupParams, elements: Iterable[GroupElement],
-              budget: float) -> list[int] | None:
-    """Vertices per distance from the identity, for the generators
-    ``elements``, or None when the set is not support-closed or the work
-    passes ``budget`` units.
+def histogram(gens: GeneratorSet, budget: float) -> list[int] | None:
+    """Vertices per distance from the identity in the Cayley (di)graph of
+    ``gens``, or None when the set is not support-closed or the work passes
+    ``budget`` units.
 
-    Each generator is read as its vector and shift, which must be canonical
-    (:meth:`GroupParams.canonical`); a vector's support is the set of its
-    nonzero coordinates.
+    Each generator is read as its vector and shift, canonical since a
+    :class:`~dbcayley.generators.GeneratorSet` is; a vector's support is
+    the set of its nonzero coordinates.
 
     The levels are counted until the balls stop growing: they sum to the
     group order exactly when the set generates the group.
     """
     work = _Work(budget)
+    params = gens.params
     t, r = params.t, params.r
     full = (1 << r) - 1
     try:
-        families = _families(params, elements, work)
+        families = _families(gens, work)
         if families is None:
             return None
         antichains: list[list[int]] = [[0]] + [[] for _ in range(r - 1)]

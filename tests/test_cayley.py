@@ -29,7 +29,6 @@ from dbcayley import (
     thm2_undirected,
     thm3_directed,
     thm4_undirected,
-    validate,
     verify_construction,
 )
 from dbcayley import cayley
@@ -438,32 +437,27 @@ def test_top_down_chunks_follow_the_block_size(monkeypatch):
 
 def test_bfs_refuses_non_canonical_generators():
     # with t = 2 the coordinate 3 would alias 1, so this set would reach
-    # [1, 2, 4, 7, 7, 3] where its canonical form reaches [1, 2, 4, 6, 7, 4]
+    # [1, 2, 4, 7, 7, 3] where its canonical form reaches [1, 2, 4, 6, 7, 4];
+    # it is refused when the set is built, as are a shift out of range (4
+    # would alias 1) and a vector of length r - 1, so neither BFS route can
+    # be handed one
     params = GroupParams(2, 3)
-    gens = GeneratorSet(
-        params, (GroupElement((3, 0, 0), 1), GroupElement((0, 0, 0), 2)), directed=True
-    )
-    assert not validate(gens).ok
+    pure = GroupElement((0, 0, 0), 2)
+    for first in (GroupElement((3, 0, 0), 1), GroupElement((1, 0, 0), 4),
+                  GroupElement((1, 0), 1)):
+        with pytest.raises(ParameterError, match="generators must be canonical"):
+            GeneratorSet(params, (first, pure), directed=True)
+    canonical = GeneratorSet(params, (params.element((3, 0, 0), 1), pure), directed=True)
     for want_distances in (False, True):
-        with pytest.raises(ParameterError):
-            bfs_from_identity(gens, want_distances=want_distances)
-    # a shift out of range (4 would alias 1) and a vector of length r - 1
-    for first in (GroupElement((1, 0, 0), 4), GroupElement((1, 0), 1)):
-        other = GeneratorSet(params, (first, GroupElement((0, 0, 0), 2)), directed=True)
-        for want_distances in (False, True):
-            with pytest.raises(ParameterError):
-                bfs_from_identity(other, want_distances=want_distances)
-    canonical = GeneratorSet(
-        params, tuple(params.element(*s) for s in gens.elements), directed=True
-    )
-    assert bfs_from_identity(canonical).histogram == [1, 2, 4, 6, 7, 4]
+        result = bfs_from_identity(canonical, want_distances=want_distances)
+        assert result.histogram == [1, 2, 4, 6, 7, 4]
 
 
-def test_bfs_from_identity_encodes_each_generator_once(monkeypatch):
+def test_bfs_from_identity_encodes_only_its_source(monkeypatch):
     # the support route reads the generators' vectors and encodes nothing;
     # the dense BFS, where that route declines or distances are wanted,
-    # encodes each generator once for its kernel, then its source, the
-    # identity
+    # reads them the same way for its kernel and encodes only its source,
+    # the identity
     encoded = []
     encode = GroupParams.encode
 
@@ -482,7 +476,7 @@ def test_bfs_from_identity_encodes_each_generator_once(monkeypatch):
     ):
         encoded.clear()
         assert bfs_from_identity(gens, want_distances=want_distances).method == method
-        expected = [*gens.elements, gens.params.identity()] if method == "dense" else []
+        expected = [gens.params.identity()] if method == "dense" else []
         assert encoded == expected
 
 

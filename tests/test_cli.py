@@ -85,6 +85,19 @@ def test_build_large_order_emitted_as_string(capsys):
     assert int(payload["order"]) == 64 * 2**64
 
 
+def test_histogram_counts_past_2_53_emitted_as_strings(capsys):
+    # 1.4e17 vertices, verified from digit supports in well under a second
+    code, out, _ = run_cli(capsys, "verify", "thm1:k=10,d=70", "--cap", str(10**18))
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    histogram = payload["histogram"]
+    for count in histogram:
+        assert ((type(count) is int and count < 2**53)
+                or (isinstance(count, str) and count.isdecimal()))
+    assert any(isinstance(count, str) for count in histogram)
+    assert sum(map(int, histogram)) == int(payload["order"])
+
+
 def test_usage_error_cites_bound(capsys):
     code, _, err = run_cli(capsys, "build", "thm3:k=2,l=2,t=2,m=2")
     assert code == EXIT_USAGE

@@ -272,22 +272,65 @@ def test_validate_flags_duplicates_and_asymmetry():
 
 
 def test_validate_flags_non_canonical_elements():
-    # with t = 2 the coordinates 3 and 2 are 1 and 0: compared in canonical
-    # form, (3,0,0;1) duplicates (1,0,0;1) and (2,0,0;0) is the identity
+    # with t = 2 the coordinates 3 and 2 are 1 and 0: the set is refused when
+    # it is built, and in canonical form (1,0,0;1) appears twice and
+    # (0,0,0;0) is the identity, which validate reports as they are
     params = GroupParams(2, 3)
-    elements = (GroupElement((3, 0, 0), 1), GroupElement((1, 0, 0), 1),
-                GroupElement((2, 0, 0), 0))
+    raw = (GroupElement((3, 0, 0), 1), GroupElement((1, 0, 0), 1),
+           GroupElement((2, 0, 0), 0))
+    with pytest.raises(ParameterError):
+        GeneratorSet(params, raw, directed=True)
+    elements = tuple(params.element(*el) for el in raw)
     report = validate(GeneratorSet(params, elements, directed=True))
-    assert report.non_canonical == [elements[0], elements[2]]
     assert report.duplicates == [elements[1]]
     assert not report.identity_free
     assert not report.ok
-    assert any("outside [0, t)" in p for p in report.problems)
+    assert report.problems == ["1 duplicate elements, e.g. (1,0,0;1)",
+                               "identity element present"]
     canonical = GeneratorSet(params, (params.element([1, 0, 0], 1),), directed=True)
-    assert validate(canonical).ok and not validate(canonical).non_canonical
+    assert validate(canonical).ok
     # a vector of length r - 1 is no element of the group
     with pytest.raises(ParameterError):
-        validate(GeneratorSet(params, (GroupElement((1, 0), 1),), directed=True))
+        GeneratorSet(params, (GroupElement((1, 0), 1),), directed=True)
+
+
+@st.composite
+def raw_element_lists(draw):
+    """A group and a list of elements drawn with residues one past either end
+    of their range and vector lengths r - 1 to r + 1, mixed with canonical
+    ones so that whole sets are canonical often enough."""
+    t = draw(st.integers(2, 4))
+    r = draw(st.integers(2, 4))
+    wide = st.builds(
+        GroupElement,
+        st.integers(r - 1, r + 1).flatmap(
+            lambda n: st.tuples(*[st.integers(-1, t)] * n)),
+        st.integers(-1, r),
+    )
+    canonical = st.builds(
+        GroupElement,
+        st.tuples(*[st.integers(0, t - 1)] * r),
+        st.integers(0, r - 1),
+    )
+    return GroupParams(t, r), draw(st.lists(st.one_of(canonical, wide), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_element_lists())
+def test_generator_set_is_canonical_by_construction(case):
+    params, elements = case
+
+    def canonical(el):
+        vec, s = el
+        return (len(vec) == params.r and all(0 <= a < params.t for a in vec)
+                and 0 <= s < params.r)
+
+    if all(map(canonical, elements)):
+        gens = GeneratorSet(params, elements, directed=True)
+        assert gens.elements == tuple(elements)
+    else:
+        with pytest.raises(ParameterError):
+            GeneratorSet(params, elements, directed=True)
 
 
 # --- corollary parameter selection ----------------------------------------------

@@ -42,7 +42,7 @@ def dense(gens):
 
 def unbounded(gens):
     """The support histogram with no work budget, or None if not support-closed."""
-    return supports.histogram(gens.params, gens.elements, math.inf)
+    return supports.histogram(gens, math.inf)
 
 
 @pytest.mark.parametrize("spec_text, histogram", [
@@ -64,7 +64,7 @@ def test_deep_t2_sets_fall_back_through_the_budget():
     result = bfs_from_identity(gens)
     assert result.method == "dense"
     assert result.histogram == [1, 31, 476, 3732, 18458, 61172, 134104, 176236, 97310]
-    assert supports.histogram(gens.params, gens.elements, gens.params.order()) is None
+    assert supports.histogram(gens, gens.params.order()) is None
 
 
 def test_want_distances_always_runs_dense():
@@ -85,14 +85,13 @@ def test_refusals_come_before_either_path(monkeypatch):
     with pytest.raises(CapExceededError) as excinfo:
         bfs_from_identity(build(parse_spec("thm3:k=3,l=9,t=2,m=3")), cap=1_000_000)
     assert excinfo.value.required == 44_040_192
-    # a digit out of range, a shift out of range, a vector of length r - 1
+    # a digit out of range, a shift out of range, a vector of length r - 1:
+    # the set itself is refused, so no search can be handed one
     params = GroupParams(2, 3)
     for first in (GroupElement((3, 0, 0), 1), GroupElement((1, 0, 0), 4),
                   GroupElement((1, 0), 1)):
-        gens = GeneratorSet(params, (first, GroupElement((0, 0, 0), 2)), directed=True)
-        for want_distances in (False, True):
-            with pytest.raises(ParameterError):
-                bfs_from_identity(gens, want_distances=want_distances)
+        with pytest.raises(ParameterError):
+            GeneratorSet(params, (first, GroupElement((0, 0, 0), 2)), directed=True)
 
 
 def test_dense_fallback_goes_through_bfs_from(monkeypatch):
