@@ -94,9 +94,20 @@ def _report_table(report: GraphReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _OutPathError(Exception):
+    """The --out path cannot be opened for writing: a usage error."""
+
+
+def _open_out(path: str, mode: str, **kwargs):
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise _OutPathError(f"cannot open --out path {path!r}: {exc.strerror}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="ascii") as handle:
+        with _open_out(out_path, "w", encoding="ascii") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -145,7 +156,7 @@ def _cmd_export(args) -> int:
         return EXIT_OK
     # refuse before the --out file is created or truncated
     check_export_cap(gens, args.cap)
-    with open(args.out, "wb") as handle:
+    with _open_out(args.out, "wb") as handle:
         write_graph(gens, args.graph_format, handle, cap=args.cap)
     return EXIT_OK
 
@@ -289,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (SpecParseError, ParameterError) as exc:
+    except (SpecParseError, ParameterError, _OutPathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GeneratorClassOverlapError as exc:

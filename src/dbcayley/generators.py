@@ -1,7 +1,8 @@
 """Generator sets for the four Cayley (di)graph constructions.
 
-Each builder produces a :class:`GeneratorSet` whose size equals the
-construction's closed-form degree:
+:func:`build` lists a spec's elements in a :class:`GeneratorSet` whose size
+equals the construction's closed-form degree; ``thm1_directed`` ...
+``thm4_undirected`` are aliases that build the spec of their arguments:
 
 * ``thm1`` (directed):   t shift-and-add elements (a,0,...,0;1) plus the
   r-2 pure cyclic shifts (0,...,0;s), 2 <= s <= r-1, on the group with
@@ -136,28 +137,22 @@ class ConstructionSpec:
 
 @dataclass
 class GeneratorSet:
-    """An ordered generator list with its ambient group; canonical, checked at
-    construction (:meth:`GroupParams.canonical`): each element is a vector of
-    length r over [0, t) with a shift in [0, r), else ParameterError."""
+    """An ordered generator list in the group ``params``, whether its Cayley
+    graph is ``directed``, and the ``spec`` it was built from (None for a set
+    given by hand).  Canonical, checked at construction
+    (:meth:`GroupParams.canonical`): each element is a vector of length r
+    over [0, t) with a shift in [0, r), else ParameterError."""
 
     params: GroupParams
     elements: tuple[GroupElement, ...]
     directed: bool
     spec: ConstructionSpec | None = None
-    expected_size: int | None = None
-    class_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         self.elements = tuple(self.elements)
         if not self.params.canonical(self.elements):
             raise ParameterError("generators must be canonical: vectors of length r "
                                  "over [0, t), shifts in [0, r)")
-        if self.expected_size is None:
-            self.expected_size = len(self.elements)
-
-    @property
-    def degree(self) -> int:
-        return len(self.elements)
 
 
 @dataclass
@@ -187,8 +182,9 @@ class ValidationReport:
 def validate(gens: GeneratorSet) -> ValidationReport:
     """Check distinctness, identity-freeness, symmetry and size of a set.
 
-    A :class:`GeneratorSet` is canonical by construction, so elements are
-    compared as they are."""
+    The expected size is the spec's closed-form degree, or the set's own
+    length when it has no spec.  A :class:`GeneratorSet` is canonical by
+    construction, so elements are compared as they are."""
     params = gens.params
     seen: set[GroupElement] = set()
     duplicates = []
@@ -206,7 +202,7 @@ def validate(gens: GeneratorSet) -> ValidationReport:
                 missing.append(el)
         symmetric = not missing
 
-    expected = gens.expected_size
+    expected = len(gens.elements) if gens.spec is None else gens.spec.expected_degree()
     size_ok = len(gens.elements) == expected
 
     problems = []
@@ -252,45 +248,22 @@ def _digit_block(
     ]
 
 
-def thm1_directed(k: int, d: int) -> GeneratorSet:
-    """Directed set of d generators: shift-and-add plus pure cyclic shifts."""
-    spec = ConstructionSpec("thm1", k=k, d=d)
-    params = spec.group_params()
-    t, r = params.t, params.r
-    elems = [params.element([a] + [0] * (r - 1), 1) for a in range(t)]
-    elems += [params.element([0] * r, s) for s in range(2, r)]
-    return GeneratorSet(params, tuple(elems), directed=True, spec=spec,
-                        expected_size=spec.expected_degree())
-
-
-def thm2_undirected(k: int, d: int) -> GeneratorSet:
-    """Symmetric set of 2t+r-3 generators; degree at most d.
-
-    The parity slack (2t+r-3 = d-1 when d-k is odd) is left as-is and
-    surfaces through ``expected_size``; no padding generators are added.
-    """
-    spec = ConstructionSpec("thm2", k=k, d=d)
-    params = spec.group_params()
-    t, r = params.t, params.r
-    forwards = [params.element([a] + [0] * (r - 1), 1) for a in range(t)]
-    backwards = [params.inv(el) for el in forwards]
-    shifts = [params.element([0] * r, s) for s in range(2, r - 1)]
-    elems = forwards + backwards + shifts
-    return GeneratorSet(params, tuple(elems), directed=False, spec=spec,
-                        expected_size=spec.expected_degree())
-
-
-def thm3_directed(k: int, ell: int, t: int, m: int) -> GeneratorSet:
-    """Directed long/short block set of t**ell + (r-1)*t**m - 1 generators."""
-    spec = ConstructionSpec("thm3", k=k, ell=ell, t=t, m=m)
-    params = spec.group_params()
-    elems = _digit_block(params, ell, ell)
-    for s in range(params.r):
-        if s != ell:
-            # at shift 0 the block starts at 1: the identity is excluded
-            elems += _digit_block(params, m, s, start=1 if s == 0 else 0)
-    return GeneratorSet(params, tuple(elems), directed=True, spec=spec,
-                        expected_size=spec.expected_degree())
+def _thm4_classes(params: GroupParams, ell: int, m: int) -> list[list[GroupElement]]:
+    r = params.r
+    longs = _digit_block(params, ell, ell)
+    shorts = [
+        el for s in range(r) if s not in (0, ell)
+        for el in _digit_block(params, m, s, start=1)
+    ]
+    excluded = {0, ell, (-ell) % r}
+    return [
+        longs,
+        [params.inv(el) for el in longs],
+        shorts,
+        [params.inv(el) for el in shorts],
+        _digit_block(params, m, 0, start=1),
+        [GroupElement((0,) * r, s) for s in range(r) if s not in excluded],
+    ]
 
 
 def thm4_classes(
@@ -306,58 +279,65 @@ def thm4_classes(
     6. pure shifts (0,...,0;s), s not in {0, ell, -ell} (closed under inversion)
     """
     spec = ConstructionSpec("thm4", k=k, ell=ell, t=t, m=m)
-    params = spec.group_params()
-    r = params.r
-    longs = _digit_block(params, ell, ell)
-    long_invs = [params.inv(el) for el in longs]
-    shorts = [
-        el for s in range(r) if s not in (0, ell)
-        for el in _digit_block(params, m, s, start=1)
-    ]
-    short_invs = [params.inv(el) for el in shorts]
-    zero_shift = _digit_block(params, m, 0, start=1)
-    excluded = {0, ell, (-ell) % r}
-    pure_shifts = [
-        params.element([0] * r, s) for s in range(r) if s not in excluded
-    ]
-    return [longs, long_invs, shorts, short_invs, zero_shift, pure_shifts]
-
-
-def thm4_undirected(k: int, ell: int, t: int, m: int) -> GeneratorSet:
-    """Symmetric block set of 2*t**ell + (2r-3)*t**m - r generators.
-
-    Raises :class:`GeneratorClassOverlapError` if the six classes are not
-    pairwise disjoint (the degree formula assumes they are; overlaps occur
-    for m >= 2).
-    """
-    spec = ConstructionSpec("thm4", k=k, ell=ell, t=t, m=m)
-    classes = thm4_classes(k, ell, t, m)
-    owner: dict[GroupElement, int] = {}
-    for idx, cls in enumerate(classes, start=1):
-        for el in cls:
-            if el in owner:
-                raise GeneratorClassOverlapError(el, owner[el], idx)
-            owner[el] = idx
-    elems = tuple(el for cls in classes for el in cls)
-    return GeneratorSet(
-        spec.group_params(),
-        elems,
-        directed=False,
-        spec=spec,
-        expected_size=spec.expected_degree(),
-        class_sizes=tuple(len(cls) for cls in classes),
-    )
+    return _thm4_classes(spec.group_params(), ell, m)
 
 
 def build(spec: ConstructionSpec) -> GeneratorSet:
-    """Build the generator set described by a construction spec."""
-    if spec.kind == "thm1":
-        return thm1_directed(spec.k, spec.d)
-    if spec.kind == "thm2":
-        return thm2_undirected(spec.k, spec.d)
-    if spec.kind == "thm3":
-        return thm3_directed(spec.k, spec.ell, spec.t, spec.m)
-    return thm4_undirected(spec.k, spec.ell, spec.t, spec.m)
+    """Build the generator set described by a construction spec.
+
+    Raises :class:`GeneratorClassOverlapError` if the six ``thm4`` classes
+    are not pairwise disjoint (the degree formula assumes they are; overlaps
+    occur for m >= 2).
+    """
+    params = spec.group_params()
+    t, r = params.t, params.r
+    if spec.kind in ("thm1", "thm2"):
+        elems = [GroupElement((a,) + (0,) * (r - 1), 1) for a in range(t)]
+        if not spec.directed:
+            elems += [params.inv(el) for el in elems]
+        # pure shifts 2 <= s <= r-1 when directed, 2 <= s <= r-2 when not
+        elems += [GroupElement((0,) * r, s) for s in range(2, r if spec.directed else r - 1)]
+    elif spec.kind == "thm3":
+        elems = _digit_block(params, spec.ell, spec.ell)
+        for s in range(r):
+            if s != spec.ell:
+                # at shift 0 the block starts at 1: the identity is excluded
+                elems += _digit_block(params, spec.m, s, start=1 if s == 0 else 0)
+    else:
+        owner: dict[GroupElement, int] = {}
+        elems = []
+        for idx, cls in enumerate(_thm4_classes(params, spec.ell, spec.m), start=1):
+            for el in cls:
+                if el in owner:
+                    raise GeneratorClassOverlapError(el, owner[el], idx)
+                owner[el] = idx
+            elems += cls
+    return GeneratorSet(params, tuple(elems), directed=spec.directed, spec=spec)
+
+
+def thm1_directed(k: int, d: int) -> GeneratorSet:
+    """Directed set of d generators: shift-and-add plus pure cyclic shifts."""
+    return build(ConstructionSpec("thm1", k=k, d=d))
+
+
+def thm2_undirected(k: int, d: int) -> GeneratorSet:
+    """Symmetric set of 2t+r-3 generators; degree at most d.
+
+    The parity slack (2t+r-3 = d-1 when d-k is odd) is left as-is and shows
+    as degree d-1; no padding generators are added.
+    """
+    return build(ConstructionSpec("thm2", k=k, d=d))
+
+
+def thm3_directed(k: int, ell: int, t: int, m: int) -> GeneratorSet:
+    """Directed long/short block set of t**ell + (r-1)*t**m - 1 generators."""
+    return build(ConstructionSpec("thm3", k=k, ell=ell, t=t, m=m))
+
+
+def thm4_undirected(k: int, ell: int, t: int, m: int) -> GeneratorSet:
+    """Symmetric block set of 2*t**ell + (2r-3)*t**m - r generators; see
+    :func:`build` for the class-overlap refusal."""
+    return build(ConstructionSpec("thm4", k=k, ell=ell, t=t, m=m))
 
 
 # --- corollary parameter selection (t = 2) ---------------------------------

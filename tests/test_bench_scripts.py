@@ -54,6 +54,7 @@ def test_certify_child_takes_the_support_route(scripts):
     assert point["histogram"] == histogram
     assert point["histogram_sha256"] == hashlib.sha256(
         json.dumps(histogram).encode()).hexdigest()
+    assert point["repeat_s"] > 0
 
 
 def test_export_child_writes_the_export_bytes(scripts, tmp_path):

@@ -189,6 +189,28 @@ def test_export_to_a_reader_that_stops_early_exits_ok():
     assert b"Error" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "thm1:k=4,d=3"),
+    ("verify", "thm1:k=4,d=3"),
+    ("export", "thm1:k=4,d=3", "edge-list"),
+    ("compare", "4", "5"),
+    ("search", "3", "2", "7"),
+], ids=lambda argv: argv[0])
+def test_unopenable_out_path_is_usage_error(tmp_path, argv):
+    # in a fresh process, so an escaping exception would show as a traceback
+    target = tmp_path / "missing" / "out"
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dbcayley.cli", *argv, "--out", str(target)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stderr.startswith("error:")
+    assert str(target) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_export_cap_refusal_leaves_out_file_alone(tmp_path, capsys):
     target = tmp_path / "graph.txt"
     code, _, _ = run_cli(

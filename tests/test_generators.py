@@ -155,7 +155,7 @@ def test_thm3_bounds():
 
 def test_thm4_class_audit():
     gens = thm4_undirected(2, 2, 2, 1)
-    assert gens.class_sizes == (4, 4, 1, 1, 1, 0)
+    assert [len(cls) for cls in thm4_classes(2, 2, 2, 1)] == [4, 4, 1, 1, 1, 0]
     assert len(gens.elements) == 11
     assert len(set(gens.elements)) == 11
     report = validate(gens)
@@ -198,9 +198,15 @@ def test_thm4_involution_pairing():
 
 def test_thm4_detects_class_overlap_for_wide_short_block():
     # with m >= 2 a short element's inverse can itself be a short element,
-    # so the stated class decomposition stops being disjoint
-    with pytest.raises(GeneratorClassOverlapError):
-        thm4_undirected(2, 3, 2, 2)
+    # so the stated class decomposition stops being disjoint: the short
+    # element (1,0,0,0,0;4) of class 3 comes again in class 4 as the inverse
+    # of another short element
+    for make in (lambda: build(parse_spec("thm4:k=2,l=3,t=2,m=2")),
+                 lambda: thm4_undirected(2, 3, 2, 2)):
+        with pytest.raises(GeneratorClassOverlapError) as raised:
+            make()
+        assert raised.value.element == GroupElement((1, 0, 0, 0, 0), 4)
+        assert (raised.value.first_class, raised.value.second_class) == (3, 4)
 
 
 @pytest.mark.parametrize("text,degree,first,digest", [
@@ -251,7 +257,6 @@ def test_validate_flags_injected_identity():
         gens.elements + (gens.params.identity(),),
         directed=True,
         spec=gens.spec,
-        expected_size=gens.expected_size,
     )
     report = validate(tampered)
     assert not report.identity_free
