@@ -28,6 +28,7 @@ BOUNDARY = "boundary"
 #: graphs; both appear as informational columns only.
 _WINNER_POOL_DIRECTED = ("thm1", "vetrik")
 _WINNER_POOL_UNDIRECTED = ("thm2", "mssv", "mss")
+_FRAC_BITS = 48  # the fractional bits of a log2 enclosure
 
 
 # --- Moore bounds and competitor orders -------------------------------------
@@ -105,8 +106,8 @@ def exact_log2_le(x: Fraction, y: Fraction, strict: bool = False) -> bool:
     return lhs < rhs if strict else lhs <= rhs
 
 
-def log2_enclosure(x: Fraction | int, frac_bits: int = 48) -> tuple[Fraction, Fraction]:
-    """Rational interval [lo, hi] containing log2(x), of width 2**-frac_bits.
+def log2_enclosure(x: Fraction | int) -> tuple[Fraction, Fraction]:
+    """Rational interval [lo, hi] containing log2(x), of width 2**-_FRAC_BITS.
 
     Bit-by-bit: normalise x into [1, 2) tracking the integer exponent, then
     repeatedly square a scaled-integer enclosure of the mantissa with
@@ -131,7 +132,7 @@ def log2_enclosure(x: Fraction | int, frac_bits: int = 48) -> tuple[Fraction, Fr
     while at_least_pow2(exponent + 1):
         exponent += 1
 
-    work = 2 * frac_bits + 32
+    work = 2 * _FRAC_BITS + 32
     if exponent >= 0:
         scaled_num, scaled_den = num, den << exponent
     else:
@@ -142,7 +143,7 @@ def log2_enclosure(x: Fraction | int, frac_bits: int = 48) -> tuple[Fraction, Fr
     two = 2 << work
     bits = 0
     produced = 0
-    for _ in range(frac_bits):
+    for _ in range(_FRAC_BITS):
         lo = (lo * lo) >> work
         hi = -((-(hi * hi)) >> work)
         if lo >= two:

@@ -264,34 +264,27 @@ def bfs_from(
     )
 
 
-def bfs_from_identity(
-    gens: GeneratorSet,
-    cap: int = DEFAULT_STATE_CAP,
-    want_distances: bool = False,
-) -> BfsResult:
+def bfs_from_identity(gens: GeneratorSet, cap: int = DEFAULT_STATE_CAP) -> BfsResult:
     """Exact diameter and distance histogram of the (di)graph.
 
     For directed sets this is the out-eccentricity of the identity, which
     vertex-transitivity makes equal to the digraph diameter.  Above ``cap``
-    vertices it refuses before either route.  Without ``want_distances`` the
-    levels are counted from the generators' digit supports
-    (:func:`dbcayley.supports.histogram`, method ``"supports"``) where the
-    set is support-closed and the work stays within n subset tests;
-    otherwise, and whenever distances are wanted, by the dense BFS
-    (:func:`bfs_from`, method ``"dense"``).
+    vertices it refuses before either route.  The levels are counted from
+    the generators' digit supports (:func:`dbcayley.supports.histogram`,
+    method ``"supports"``) where the set is support-closed and the work
+    stays within n subset tests; otherwise by the dense BFS
+    (:func:`bfs_from`, method ``"dense"``), the one that gives distances.
     """
     params = gens.params
     n = params.order()
     if n > cap:
         raise CapExceededError(n, cap)
-    if not want_distances:
-        histogram = supports.histogram(gens, n)
-        if histogram is not None:
-            if sum(histogram) < n:
-                raise DisconnectedGraphError(n - sum(histogram), histogram)
-            return BfsResult(diameter=len(histogram) - 1, histogram=histogram,
-                             method="supports")
-    return bfs_from(gens, params.identity(), cap=cap, want_distances=want_distances)
+    histogram = supports.histogram(gens, n)
+    if histogram is None:
+        return bfs_from(gens, params.identity(), cap=cap)
+    if sum(histogram) < n:
+        raise DisconnectedGraphError(n - sum(histogram), histogram)
+    return BfsResult(diameter=len(histogram) - 1, histogram=histogram, method="supports")
 
 
 @dataclass
@@ -329,9 +322,12 @@ def verify_construction(
     """
     if isinstance(spec, str):
         spec = parse_spec(spec)
+    order = spec.group_params().order()
+    if run_bfs and order > cap:
+        # refused before the generators are listed, as they may not fit
+        raise CapExceededError(order, cap)
     gens = build(spec)
     report = validate(gens)
-    order = gens.params.order()
     degree = len(gens.elements)
 
     diameter: int | None = None
@@ -368,14 +364,13 @@ def verify_construction(
 
 # --- explicit exports -------------------------------------------------------
 
-def check_export_cap(gens: GeneratorSet, cap: int = DEFAULT_STATE_CAP) -> None:
-    """Refuse an export whose vertex or arc count exceeds ``cap``."""
-    n = gens.params.order()
-    if n > cap:
-        raise CapExceededError(n, cap)
-    arcs = n * len(gens.elements)
-    if arcs > cap:
-        raise CapExceededError(arcs, cap, "arcs")
+def check_export_cap(order: int, degree: int, cap: int = DEFAULT_STATE_CAP) -> None:
+    """Refuse an export of ``order`` vertices of out-degree ``degree`` whose
+    vertex or arc count exceeds ``cap``."""
+    if order > cap:
+        raise CapExceededError(order, cap)
+    if order * degree > cap:
+        raise CapExceededError(order * degree, cap, "arcs")
 
 
 class _Rows:
@@ -455,12 +450,12 @@ def write_graph(
         raise ParameterError(
             f"unknown export format {fmt!r}; choose one of {', '.join(EXPORT_FORMATS)}"
         )
-    check_export_cap(gens, cap)
     params = gens.params
     n = params.order()
+    d = len(gens.elements)
+    check_export_cap(n, d, cap)
     kernel = _NeighborKernel(gens)
     base = kernel.base
-    d = len(gens.elements)
     if fmt == "dot":
         out.write(b"digraph {\n" if gens.directed else b"graph {\n")
         nodes = _Rows(b"  \0;\n", n - 1, min(n, _BLOCK_ARCS))

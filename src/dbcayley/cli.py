@@ -142,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export(args) -> int:
     spec = parse_spec(args.spec)
+    # refuse before the generators are listed or the --out file is created
+    check_export_cap(spec.group_params().order(), spec.expected_degree(), args.cap)
     gens = build(spec)
     if not args.out:
         try:
@@ -154,8 +156,6 @@ def _cmd_export(args) -> int:
             # point stdout at devnull so the flush at exit cannot raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    # refuse before the --out file is created or truncated
-    check_export_cap(gens, args.cap)
     with _open_out(args.out, "wb") as handle:
         write_graph(gens, args.graph_format, handle, cap=args.cap)
     return EXIT_OK

@@ -29,7 +29,10 @@ every S in A(c) and J in M_s; the old sets are kept, since the balls are
 nested, and the result is reduced to its maximal sets.  Only the sets that
 joined A(c) on the level before can extend to a support not yet covered, so
 only they are extended, and a shift none joined is skipped; each family is
-rotated to J + c once per call.
+rotated to J + c once per call.  The pass reads M_s alone, never t, so its
+levels, and the diameter, hold for every t.  It ends once every A(c) is the
+full support, the balls then being the whole group, or after a level that
+adds no member, with the balls short of it, as a disconnected set leaves.
 
 **Ball sizes.**  The ball at shift c has t^|S| vectors when A(c) = {S}
 (t^r once S holds every place).  Otherwise its size is split place by
@@ -37,8 +40,7 @@ place: a place p that every member holds is free, a factor t; else the
 vectors with a nonzero digit at p lie in the members that hold p (less p),
 and those with a zero there in every member less p.  Both parts are
 antichains again, and equal parts are counted once.  A level's count is
-the growth of the balls over all shifts; a level that adds nothing ends the
-search with the balls short of the group, as a disconnected set does.
+the growth of the balls at the shifts whose antichain grew.
 
 **Budget.**  Every pairwise subset or intersection test counts as one unit.
 A split of a ball size charges its tests before it runs them; a reduction
@@ -59,6 +61,7 @@ shift are distinct elements.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import compress
 
 from .generators import GeneratorSet
@@ -165,6 +168,35 @@ def _families(gens: GeneratorSet, work: _Work) -> list[list[int]] | None:
     return families
 
 
+def _levels(families: list[list[int]], r: int, work: _Work) -> Iterator[list]:
+    """The antichain BFS, t-free: each level, the (c, A(c)) whose A(c) grew."""
+    full = (1 << r) - 1
+    antichains: list[list[int]] = [[0]] + [[] for _ in range(r - 1)]
+    joined = [list(antichain) for antichain in antichains]
+    # rotated[c][s]: the supports J + c of the family M_s
+    rotated = [[[(j << c | j >> (r - c)) & full for j in family] for family in families]
+               for c in range(r)]
+    while antichains != [[full]] * r:
+        candidates = [set(antichain) for antichain in antichains]
+        for c, fresh in enumerate(joined):
+            if not fresh:
+                continue
+            for s, family in enumerate(rotated[c]):
+                target = candidates[(c + s) % r]
+                for j in family:
+                    target.update([x | j for x in fresh])
+        grown = []
+        for c, masks in enumerate(candidates):
+            old = set(antichains[c])
+            antichains[c] = _maximal(masks, work)
+            joined[c] = [x for x in antichains[c] if x not in old]
+            if joined[c]:
+                grown.append((c, antichains[c]))
+        if not grown:
+            return
+        yield grown
+
+
 def histogram(gens: GeneratorSet, budget: float) -> list[int] | None:
     """Vertices per distance from the identity in the Cayley (di)graph of
     ``gens``, or None when the set is not support-closed or the work passes
@@ -178,44 +210,18 @@ def histogram(gens: GeneratorSet, budget: float) -> list[int] | None:
     group order exactly when the set generates the group.
     """
     work = _Work(budget)
-    params = gens.params
-    t, r = params.t, params.r
-    full = (1 << r) - 1
+    t, r = gens.params.t, gens.params.r
     try:
         families = _families(gens, work)
         if families is None:
             return None
-        antichains: list[list[int]] = [[0]] + [[] for _ in range(r - 1)]
-        # the members that joined on the last level: only they can extend to
-        # a support not already covered
-        joined = [list(antichain) for antichain in antichains]
         balls = [1] + [0] * (r - 1)
-        levels = [1]
-        reached, n = 1, params.order()
-        # rotated[c][s]: the supports J + c of the family M_s
-        rotated = [[[(j << c | j >> (r - c)) & full for j in family] for family in families]
-                   for c in range(r)]
-        while reached < n:
-            candidates = [set(antichain) for antichain in antichains]
-            for c, fresh in enumerate(joined):
-                if not fresh:
-                    continue
-                for s, family in enumerate(rotated[c]):
-                    target = candidates[(c + s) % r]
-                    for j in family:
-                        target.update([x | j for x in fresh])
-            for c, masks in enumerate(candidates):
-                antichain = _maximal(masks, work)
-                old = set(antichains[c])
-                joined[c] = [x for x in antichain if x not in old]
-                if joined[c]:
-                    antichains[c] = antichain
-                    balls[c] = _union_size(antichain, t, work)
-            now = sum(balls)
-            if now == reached:
-                break
-            levels.append(now - reached)
-            reached = now
+        levels, reached = [1], 1
+        for grown in _levels(families, r, work):
+            for c, antichain in grown:
+                balls[c] = _union_size(antichain, t, work)
+            levels.append(sum(balls) - reached)
+            reached += levels[-1]
         return levels
     except _OverBudget:
         return None

@@ -18,6 +18,7 @@ import pytest
 
 from dbcayley import (
     GroupParams,
+    bfs_from,
     bfs_from_identity,
     build,
     compare,
@@ -129,7 +130,7 @@ def test_criterion_02_first_directed_construction(named_reports):
     assert report.degree == 3
     assert report.diameter == 4
     gens = thm1_directed(4, 3)
-    distances = bfs_from_identity(gens, want_distances=True).distances
+    distances = bfs_from(gens, gens.params.identity(), want_distances=True).distances
     deep = gens.params.encode(gens.params.element([1, 1, 1], 2))
     assert distances[deep] == 4
     instance_elapsed = time.thread_time() - started

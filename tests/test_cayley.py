@@ -99,7 +99,7 @@ def test_bfs_thm1_histogram():
 
 def test_bfs_specific_deep_vertex():
     gens = thm1_directed(4, 3)
-    result = bfs_from_identity(gens, want_distances=True)
+    result = bfs_from(gens, gens.params.identity(), want_distances=True)
     idx = gens.params.encode(gens.params.element([1, 1, 1], 2))
     assert result.distances[idx] == 4
 
@@ -201,7 +201,8 @@ def test_distances_fill_the_last_level():
         ("thm2:k=5,d=21", [1, 21, 252, 2709, 15876, 21141]),
         ("thm3:k=3,l=7,t=2,m=3", [1, 255, 41368, 2186600]),
     ]:
-        result = bfs_from_identity(build(parse_spec(spec_text)), want_distances=True)
+        gens = build(parse_spec(spec_text))
+        result = bfs_from(gens, gens.params.identity(), want_distances=True)
         assert result.histogram == histogram, spec_text
         assert np.bincount(result.distances).tolist() == histogram, spec_text
         assert all(type(count) is int for count in result.histogram)
@@ -246,7 +247,7 @@ def test_bfs_past_level_254_widens_the_level_map():
         params, (params.element([1, 0], 0), params.element([0, 0], 1)), directed=True
     )
     assert params.order() == 33_800
-    result = bfs_from_identity(gens, want_distances=True)
+    result = bfs_from(gens, params.identity(), want_distances=True)
     assert result.diameter == 260
     assert result.distances.tolist() == scalar_distances(gens, params.identity())
     assert np.bincount(result.distances).tolist() == result.histogram
@@ -448,16 +449,16 @@ def test_bfs_refuses_non_canonical_generators():
         with pytest.raises(ParameterError, match="generators must be canonical"):
             GeneratorSet(params, (first, pure), directed=True)
     canonical = GeneratorSet(params, (params.element((3, 0, 0), 1), pure), directed=True)
-    for want_distances in (False, True):
-        result = bfs_from_identity(canonical, want_distances=want_distances)
-        assert result.histogram == [1, 2, 4, 6, 7, 4]
+    assert bfs_from_identity(canonical).histogram == [1, 2, 4, 6, 7, 4]
+    assert bfs_from(canonical, params.identity(), want_distances=True).histogram == [
+        1, 2, 4, 6, 7, 4]
 
 
 def test_bfs_from_identity_encodes_only_its_source(monkeypatch):
     # the support route reads the generators' vectors and encodes nothing;
-    # the dense BFS, where that route declines or distances are wanted,
-    # reads them the same way for its kernel and encodes only its source,
-    # the identity
+    # the dense BFS, where that route declines and in bfs_from's search
+    # with distances, reads them the same way for its kernel and encodes
+    # only its source, the identity
     encoded = []
     encode = GroupParams.encode
 
@@ -471,13 +472,13 @@ def test_bfs_from_identity_encodes_only_its_source(monkeypatch):
     unclosed = GeneratorSet(
         params, (params.element((1, 0, 0), 1), params.element((0, 0, 0), 2)), directed=True
     )
-    for gens, want_distances, method in (
-        (closed, False, "supports"), (closed, True, "dense"), (unclosed, False, "dense"),
-    ):
+    for gens, method in ((closed, "supports"), (unclosed, "dense")):
         encoded.clear()
-        assert bfs_from_identity(gens, want_distances=want_distances).method == method
-        expected = [gens.params.identity()] if method == "dense" else []
-        assert encoded == expected
+        assert bfs_from_identity(gens).method == method
+        assert encoded == ([gens.params.identity()] if method == "dense" else [])
+    encoded.clear()
+    assert bfs_from(closed, closed.params.identity(), want_distances=True).method == "dense"
+    assert encoded == [closed.params.identity()]
 
 
 # --- neighbour kernel ------------------------------------------------------------
@@ -776,7 +777,7 @@ def test_export_respects_cap():
 
 def test_export_refuses_by_arcs():
     gens = thm2_undirected(5, 21)  # 40,000 vertices, 840,000 arcs
-    check_export_cap(gens)
+    check_export_cap(40_000, 21)
     with pytest.raises(CapExceededError, match="arcs") as excinfo:
         export_graph(gens, "edge-list", cap=100_000)
     assert excinfo.value.required == 840_000

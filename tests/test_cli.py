@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from dbcayley import build, export_graph, parse_spec
+from dbcayley import build, cayley, cli, export_graph, parse_spec
 from dbcayley.cli import (
     EXIT_FAILURE,
     EXIT_OK,
@@ -218,6 +218,28 @@ def test_export_cap_refusal_leaves_out_file_alone(tmp_path, capsys):
         "--out", str(target),
     )
     assert code == EXIT_RESOURCE
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "thm3:k=2,l=30,t=2,m=1"),
+    ("export", "thm3:k=2,l=30,t=2,m=1", "edge-list"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_cap_refuses_before_the_generators_are_listed(monkeypatch, tmp_path, capsys,
+                                                      argv, to_file):
+    # 31 * 2**31 vertices and 2**30 + 59 generators: listing them alone can
+    # exhaust memory, so the cap must refuse from the spec, before build runs
+    def no_build(spec):
+        raise AssertionError("build ran")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    monkeypatch.setattr(cayley, "build", no_build)
+    target = tmp_path / "out"
+    code, out, err = run_cli(capsys, *argv, *(("--out", str(target)) if to_file else ()))
+    assert code == EXIT_RESOURCE
+    assert f"{31 * 2**31} dense states" in err
+    assert out == ""
     assert not target.exists()
 
 

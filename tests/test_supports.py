@@ -67,14 +67,6 @@ def test_deep_t2_sets_fall_back_through_the_budget():
     assert supports.histogram(gens, gens.params.order()) is None
 
 
-def test_want_distances_always_runs_dense():
-    gens = build(parse_spec("thm1:k=4,d=10"))
-    assert bfs_from_identity(gens).method == "supports"
-    result = bfs_from_identity(gens, want_distances=True)
-    assert result.method == "dense"
-    assert np.bincount(result.distances).tolist() == result.histogram == [1, 10, 96, 864, 1216]
-
-
 def _no_search(*args, **kwargs):
     raise AssertionError("a search ran")
 
@@ -96,12 +88,12 @@ def test_refusals_come_before_either_path(monkeypatch):
 
 def test_dense_fallback_goes_through_bfs_from(monkeypatch):
     # bfs_from is the one dense entry point: a set that is not support-closed
-    # (shift 1 holds (1,0,0) without (0,0,0)), or a call that wants
-    # distances, reaches it with the identity, the cap and the flag
+    # (shift 1 holds (1,0,0) without (0,0,0)) reaches it with the identity
+    # and the cap, the default one too
     calls = []
 
-    def stub(gens, source, cap, want_distances):
-        calls.append((gens, source, cap, want_distances))
+    def stub(gens, source, cap):
+        calls.append((gens, source, cap))
         return "dense"
 
     monkeypatch.setattr(cayley, "bfs_from", stub)
@@ -111,10 +103,10 @@ def test_dense_fallback_goes_through_bfs_from(monkeypatch):
     )
     closed = build(parse_spec("thm3:k=3,l=3,t=2,m=1"))
     assert bfs_from_identity(unclosed, cap=100) == "dense"
-    assert bfs_from_identity(closed, want_distances=True) == "dense"
+    assert bfs_from_identity(unclosed) == "dense"
     assert bfs_from_identity(closed).method == "supports"
-    assert calls == [(unclosed, params.identity(), 100, False),
-                     (closed, closed.params.identity(), DEFAULT_STATE_CAP, True)]
+    assert calls == [(unclosed, params.identity(), 100),
+                     (unclosed, params.identity(), DEFAULT_STATE_CAP)]
 
 
 def test_disconnected_set_raises_from_supports(monkeypatch):
@@ -156,6 +148,30 @@ def test_family_histograms_equal_the_dense_bfs(spec_text):
     result = bfs_from_identity(gens)
     assert result.method == "supports"
     assert result.histogram == dense(gens)
+
+
+@pytest.mark.parametrize("specs", [
+    *([f"thm1:k={k},d={d}" for d in (k - 1, k, k + 5)] for k in range(4, 11)),
+    *([f"thm2:k={k},d={d}" for d in (k + 1, k + 3, k + 9)] for k in range(4, 11)),
+    [f"thm3:k=3,l=9,t={t},m=3" for t in (2, 3)],
+    [f"thm4:k=3,l=3,t={t},m=1" for t in (2, 3, 4)],
+], ids=lambda specs: specs[0])
+def test_levels_do_not_depend_on_t(specs):
+    # each spec of a group differs from the others in t alone: the families
+    # M_s are the same, and the t-free antichain pass ends after exactly k
+    # levels with every shift at the full support.  build lists the same
+    # digit supports for every t, so the diameter is k at every degree.
+    sets = [build(parse_spec(spec_text)) for spec_text in specs]
+    families = [supports._families(gens, supports._Work(math.inf)) for gens in sets]
+    assert all(family == families[0] for family in families)
+    spec, r = sets[0].spec, sets[0].params.r
+    last = {}
+    levels = 0
+    for grown in supports._levels(families[0], r, supports._Work(math.inf)):
+        last.update(grown)
+        levels += 1
+    assert levels == spec.claimed_diameter == spec.k
+    assert last == {c: [(1 << r) - 1] for c in range(r)}
 
 
 @settings(max_examples=200, deadline=None)
