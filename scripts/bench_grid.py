@@ -1,5 +1,5 @@
-"""Record the thm1 grid BFS: total BFS seconds, peak RSS and a histogram
-digest, paired against the base tree.
+"""Record the thm1 grid: total build and BFS seconds, peak RSS and a
+histogram digest, paired against the base tree.
 
     python3 scripts/bench_grid.py
 
@@ -14,10 +14,10 @@ grid is the benchmark's ``bfs-digits`` workload, read from
 point to ``BENCH_grid.json`` at the repository root: the commit, whether
 ``src/`` differs from it, a digest of the package source, the machine, the
 grid's size, the base commit, the sha256 of its histograms (which every run
-must agree on), per side each run's total BFS wall seconds (building the
-generator sets is not timed) and each child's peak RSS with their medians,
-and how many pairs this checkout's BFS was faster in.  Takes about five
-seconds.
+must agree on), per side each run's total wall seconds of the 99 ``build``
+calls (``build_s``, parsing not included) and of the BFS (``bfs_s``) and
+each child's peak RSS with their medians, and how many pairs this
+checkout's BFS was faster in.  Takes about five seconds.
 """
 
 from __future__ import annotations
@@ -39,7 +39,10 @@ CHILD = """
 import hashlib, json, resource, sys, time
 from dbcayley import bfs_from_identity, build, parse_spec
 specs = sys.argv[1:]
-sets = [build(parse_spec(spec)) for spec in specs]
+parsed = [parse_spec(spec) for spec in specs]
+started = time.perf_counter()
+sets = [build(spec) for spec in parsed]
+build_s = time.perf_counter() - started
 histograms, bfs_s = [], 0.0
 for spec, gens in zip(specs, sets):
     started = time.perf_counter()
@@ -49,6 +52,7 @@ for spec, gens in zip(specs, sets):
 print(json.dumps({
     "vertices": sum(gens.params.order() for gens in sets),
     "histograms_sha256": hashlib.sha256(json.dumps(histograms).encode()).hexdigest(),
+    "build_s": round(build_s, 6),
     "bfs_s": round(bfs_s, 4),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
 }))

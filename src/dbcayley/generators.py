@@ -2,22 +2,23 @@
 
 :func:`build` lists a spec's elements in a :class:`GeneratorSet` whose size
 equals the construction's closed-form degree; ``thm1_directed`` ...
-``thm4_undirected`` are aliases that build the spec of their arguments:
+``thm4_undirected`` are aliases that build the spec of their arguments.
+Every construction is one of two block shapes on the group with
+r = (k-1)*ell + m, order r*t**r: vectors split into k-1 long blocks of
+length ell and one short block of length m.
 
-* ``thm1`` (directed):   t shift-and-add elements (a,0,...,0;1) plus the
-  r-2 pure cyclic shifts (0,...,0;s), 2 <= s <= r-1, on the group with
-  r = k-1, t = d-k+3.  Degree d, order (k-1)*(d-k+3)**(k-1).
-* ``thm2`` (undirected): the shift-and-add elements, their inverses
-  (0,...,0,-a;-1), and the pure shifts 2 <= s <= r-2, with
-  t = floor((d-k)/2)+2.  Degree 2t+r-3 <= d.
-* ``thm3`` (directed):   vectors split into k-1 long blocks of length ell
-  and one short block of length m.  Generators are the t**ell long
-  elements (a1,...,a_ell,0,...,0;ell) plus every nonzero short element
-  (a1,...,am,0,...,0;s) with s != ell.  Degree t**ell + (r-1)*t**m - 1,
-  order r*t**r with r = (k-1)*ell + m.
-* ``thm4`` (undirected): six classes; the long and short elements above,
-  their inverses, the nonzero short elements with s = 0, and the pure
-  shifts with s not in {0, ell, -ell}.  Degree 2*t**ell + (2r-3)*t**m - r.
+* directed (``thm3``): the t**ell long elements (a1,...,a_ell,0,...,0;ell)
+  plus every short element (a1,...,am,0,...,0;s) with s != ell, except the
+  identity at s = 0.  Degree t**ell + (r-1)*t**m - 1.
+* undirected (``thm4``): six classes; the long elements and the short
+  elements with s not in {0, ell}, their inverses, the nonzero short
+  elements with s = 0, and the pure shifts with s not in {0, ell, -ell}.
+  Degree 2*t**ell + (2r-3)*t**m - r.
+
+``thm1`` and ``thm2`` are these shapes at ell = 1, m = 0, so r = k-1: the
+shift-and-add elements (a,0,...,0;1) with the pure cyclic shifts, and for
+``thm2`` the inverses (0,...,0,-a;-1) as well.  ``thm1`` takes t = d-k+3,
+degree d; ``thm2`` takes t = floor((d-k)/2)+2, degree d or d-1.
 
 Construction specs have a canonical one-line text form shared by the CLI
 and JSON reports, e.g. ``thm3:k=3,l=2,t=2,m=1``.  The ``cor:`` prefix
@@ -77,20 +78,16 @@ class ConstructionSpec:
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown construction kind {self.kind!r}")
         k = self.k
-        if self.kind == "thm1":
+        if self.kind in ("thm1", "thm2"):
+            low = k - 1 if self.kind == "thm1" else k + 1
             if self.d is None:
-                raise ParameterError("thm1 requires a degree d")
+                raise ParameterError(f"{self.kind} requires a degree d")
             if k < 4:
-                raise ParameterError(f"thm1 requires k >= 4, got k={k}")
-            if self.d < k - 1:
-                raise ParameterError(f"thm1 requires d >= k-1 = {k - 1}, got d={self.d}")
-        elif self.kind == "thm2":
-            if self.d is None:
-                raise ParameterError("thm2 requires a degree d")
-            if k < 4:
-                raise ParameterError(f"thm2 requires k >= 4, got k={k}")
-            if self.d < k + 1:
-                raise ParameterError(f"thm2 requires d >= k+1 = {k + 1}, got d={self.d}")
+                raise ParameterError(f"{self.kind} requires k >= 4, got k={k}")
+            if self.d < low:
+                raise ParameterError(
+                    f"{self.kind} requires d >= k{low - k:+d} = {low}, got d={self.d}"
+                )
         else:
             if self.ell is None or self.t is None or self.m is None:
                 raise ParameterError(f"{self.kind} requires ell, t and m")
@@ -111,23 +108,24 @@ class ConstructionSpec:
     def claimed_diameter(self) -> int:
         return self.k
 
-    def group_params(self) -> GroupParams:
+    def _blocks(self) -> tuple[int, int, int]:
+        """(t, ell, m): thm1 and thm2 are the block shapes at ell = 1, m = 0."""
         if self.kind == "thm1":
-            return GroupParams(t=self.d - self.k + 3, r=self.k - 1)
+            return self.d - self.k + 3, 1, 0
         if self.kind == "thm2":
-            return GroupParams(t=(self.d - self.k) // 2 + 2, r=self.k - 1)
-        return GroupParams(t=self.t, r=(self.k - 1) * self.ell + self.m)
+            return (self.d - self.k) // 2 + 2, 1, 0
+        return self.t, self.ell, self.m
+
+    def group_params(self) -> GroupParams:
+        t, ell, m = self._blocks()
+        return GroupParams(t=t, r=(self.k - 1) * ell + m)
 
     def expected_degree(self) -> int:
-        params = self.group_params()
-        t, r = params.t, params.r
-        if self.kind == "thm1":
-            return t + r - 2
-        if self.kind == "thm2":
-            return 2 * t + r - 3
-        if self.kind == "thm3":
-            return t**self.ell + (r - 1) * t**self.m - 1
-        return 2 * t**self.ell + (2 * r - 3) * t**self.m - r
+        t, ell, m = self._blocks()
+        r = self.group_params().r
+        if self.directed:
+            return t**ell + (r - 1) * t**m - 1
+        return 2 * t**ell + (2 * r - 3) * t**m - r
 
     def canonical(self) -> str:
         if self.kind in ("thm1", "thm2"):
@@ -251,17 +249,15 @@ def _digit_block(
 def _thm4_classes(params: GroupParams, ell: int, m: int) -> list[list[GroupElement]]:
     r = params.r
     longs = _digit_block(params, ell, ell)
-    shorts = [
-        el for s in range(r) if s not in (0, ell)
-        for el in _digit_block(params, m, s, start=1)
-    ]
+    nonzero = _digit_block(params, m, 0, start=1)
+    shorts = [GroupElement(v, s) for s in range(r) if s not in (0, ell) for v, _ in nonzero]
     excluded = {0, ell, (-ell) % r}
     return [
         longs,
         [params.inv(el) for el in longs],
         shorts,
         [params.inv(el) for el in shorts],
-        _digit_block(params, m, 0, start=1),
+        nonzero,
         [GroupElement((0,) * r, s) for s in range(r) if s not in excluded],
     ]
 
@@ -285,28 +281,23 @@ def thm4_classes(
 def build(spec: ConstructionSpec) -> GeneratorSet:
     """Build the generator set described by a construction spec.
 
-    Raises :class:`GeneratorClassOverlapError` if the six ``thm4`` classes
+    Raises :class:`GeneratorClassOverlapError` if the six undirected classes
     are not pairwise disjoint (the degree formula assumes they are; overlaps
     occur for m >= 2).
     """
     params = spec.group_params()
-    t, r = params.t, params.r
-    if spec.kind in ("thm1", "thm2"):
-        elems = [GroupElement((a,) + (0,) * (r - 1), 1) for a in range(t)]
-        if not spec.directed:
-            elems += [params.inv(el) for el in elems]
-        # pure shifts 2 <= s <= r-1 when directed, 2 <= s <= r-2 when not
-        elems += [GroupElement((0,) * r, s) for s in range(2, r if spec.directed else r - 1)]
-    elif spec.kind == "thm3":
-        elems = _digit_block(params, spec.ell, spec.ell)
-        for s in range(r):
-            if s != spec.ell:
-                # at shift 0 the block starts at 1: the identity is excluded
-                elems += _digit_block(params, spec.m, s, start=1 if s == 0 else 0)
+    _, ell, m = spec._blocks()
+    if spec.directed:
+        # the long block at shift ell, then the short block at every other
+        # shift, listed once and tagged; at shift 0 without the identity
+        short0 = _digit_block(params, m, 0)
+        elems = _digit_block(params, ell, ell) + short0[1:] + [
+            GroupElement(v, s) for s in range(1, params.r) if s != ell for v, _ in short0
+        ]
     else:
         owner: dict[GroupElement, int] = {}
         elems = []
-        for idx, cls in enumerate(_thm4_classes(params, spec.ell, spec.m), start=1):
+        for idx, cls in enumerate(_thm4_classes(params, ell, m), start=1):
             for el in cls:
                 if el in owner:
                     raise GeneratorClassOverlapError(el, owner[el], idx)
@@ -321,22 +312,21 @@ def thm1_directed(k: int, d: int) -> GeneratorSet:
 
 
 def thm2_undirected(k: int, d: int) -> GeneratorSet:
-    """Symmetric set of 2t+r-3 generators; degree at most d.
+    """Symmetric set of at most d generators.
 
-    The parity slack (2t+r-3 = d-1 when d-k is odd) is left as-is and shows
-    as degree d-1; no padding generators are added.
+    The parity slack (d-1 generators when d-k is odd) is left as-is; no
+    padding generators are added.
     """
     return build(ConstructionSpec("thm2", k=k, d=d))
 
 
 def thm3_directed(k: int, ell: int, t: int, m: int) -> GeneratorSet:
-    """Directed long/short block set of t**ell + (r-1)*t**m - 1 generators."""
+    """Directed long/short block set."""
     return build(ConstructionSpec("thm3", k=k, ell=ell, t=t, m=m))
 
 
 def thm4_undirected(k: int, ell: int, t: int, m: int) -> GeneratorSet:
-    """Symmetric block set of 2*t**ell + (2r-3)*t**m - r generators; see
-    :func:`build` for the class-overlap refusal."""
+    """Symmetric block set; see :func:`build` for the class-overlap refusal."""
     return build(ConstructionSpec("thm4", k=k, ell=ell, t=t, m=m))
 
 

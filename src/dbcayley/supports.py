@@ -8,10 +8,10 @@ place i to (i + c) mod r.
 **Lemma.**  Call a generator set *support-closed* when, for every shift s,
 the vectors of its generators at shift s are exactly the union of V_J over a
 family M_s of supports; at s = 0 the zero vector, the identity, may be
-missing, since it costs no step.  Every family of the paper is: thm1 has
-V_{0} at shift 1 and V_∅ at each pure shift, thm2 adds V_{r-1} at shift -1,
-thm3 has V_[0,l) at shift l and V_[0,m) at every other shift, and thm4's
-six classes unite to such sets at every shift.  A word ending at shift c
+missing, since it costs no step.  Every family of the paper is: thm3 has
+V_[0,l) at shift l and V_[0,m) at every other shift, thm4's six classes
+unite to such sets at every shift, and thm1/thm2 are these shapes at l = 1,
+m = 0.  A word ending at shift c
 whose vectors fill V_S, followed by a letter (v; s) with v in V_J, fills
 V_{S ∪ (J + c)} at shift c + s.  So the ball of radius j at shift c is the
 union of V_S over the supports S that words of at most j letters place when

@@ -42,6 +42,7 @@ def test_grid_child_digests_the_histograms(scripts):
     assert point["vertices"] == 24
     assert point["histograms_sha256"] == hashlib.sha256(
         json.dumps(histograms).encode()).hexdigest()
+    assert point["build_s"] > 0
     assert point["bfs_s"] >= 0 and point["peak_rss_mb"] > 0 and point["cpu_s"] > 0
 
 

@@ -105,6 +105,27 @@ def test_thm2_involution_pairing():
         assert involutions + paired == len(gens.elements)
 
 
+@pytest.mark.parametrize("kind", ["thm1", "thm2"])
+def test_first_construction_is_the_paper_listing(kind):
+    # build() lists thm1/thm2 as the block shapes at l = 1, m = 0; the
+    # paper lists them directly: the shift-and-add elements (a,0,...,0;1),
+    # for thm2 then their inverses (0,...,0,-a;-1), then the pure shifts
+    # (0,...,0;s), 2 <= s <= r-1 for thm1 and 2 <= s <= r-2 for thm2
+    for k in range(4, 11):
+        r = k - 1
+        for d in range(k - 1 if kind == "thm1" else k + 1, k + 31):
+            t = d - k + 3 if kind == "thm1" else (d - k) // 2 + 2
+            zero = (0,) * (r - 1)
+            expected = [GroupElement((a,) + zero, 1) for a in range(t)]
+            if kind == "thm2":
+                expected += [GroupElement(zero + ((-a) % t,), r - 1) for a in range(t)]
+            top = r if kind == "thm1" else r - 1
+            expected += [GroupElement((0,) * r, s) for s in range(2, top)]
+            gens = build(ConstructionSpec(kind, k=k, d=d))
+            assert (gens.params.t, gens.params.r) == (t, r)
+            assert gens.elements == tuple(expected), (kind, k, d)
+
+
 # --- second construction ------------------------------------------------------
 
 def test_thm3_small_instances():
