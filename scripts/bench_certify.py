@@ -78,7 +78,7 @@ def main() -> None:
     for spec in INSTANCES:
         instances[spec] = run_pairs(
             CHILD, [spec], PAIRS, ("order", "degree", "histogram", "histogram_sha256"),
-            "repeat_s",
+            ("repeat_s",),
         )
         print(spec, json.dumps(instances[spec]), flush=True)
     append("BENCH_certify.json", {**stamp(), "instances": instances})

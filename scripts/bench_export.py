@@ -62,7 +62,7 @@ def main() -> None:
         path = os.path.join(scratch, "graph.out")
         for fmt in FORMATS:
             formats[fmt] = run_pairs(
-                CHILD, [SPEC, fmt, path], PAIRS, ("code", "bytes", "sha256"), "seconds"
+                CHILD, [SPEC, fmt, path], PAIRS, ("code", "bytes", "sha256"), ("seconds",)
             )
             if formats[fmt]["code"] != 0:
                 raise SystemExit(f"export {SPEC} {fmt} exited {formats[fmt]['code']}")

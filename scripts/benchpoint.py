@@ -4,7 +4,8 @@ A point names the commit it ran at, whether ``src/`` differed from that
 commit, a digest of the package source and the machine; ``append`` adds it
 to a ``BENCH_<topic>.json`` record at the repository root.  A paired point
 (``run_pairs``) also runs the same child on the base tree, the code this
-checkout changes, alternately with this checkout, and stores both sides.
+checkout changes, alternately with this checkout, stores both sides and
+counts the pairs this checkout won on each timed field it is given.
 Every child run (``run_child``) also records its process's CPU seconds,
 imports included, as ``cpu_s``.
 """
@@ -87,15 +88,25 @@ def _base_tree():
         yield commit, os.path.join(scratch, "src")
 
 
+def count_wins(runs: dict[str, list[dict]], timed: tuple[str, ...]) -> dict[str, int]:
+    """For each field in ``timed``, the number of pairs in which this
+    checkout's run (``runs["change"]``) is lower than the base's run of the
+    same pair (``runs["base"]``)."""
+    pairs = list(zip(runs["base"], runs["change"]))
+    return {key: sum(change[key] < base[key] for base, change in pairs) for key in timed}
+
+
 def run_pairs(code: str, args: list[str], pairs: int, same: tuple[str, ...],
-              metric: str) -> dict:
+              timed: tuple[str, ...]) -> dict:
     """Run ``code`` with ``args`` on the base tree and on this checkout
     alternately, ``pairs`` times each, the base first in even pairs.
 
     Every run must agree on the fields named in ``same``, which are stored
     once.  Each other field of a run's JSON object is stored per side as a
-    list, one entry a run, with its median.  ``change_wins`` counts the
-    pairs in which this checkout's ``metric`` is lower than the base's.
+    list, one entry a run, with its median.  ``change_wins`` maps each field
+    named in ``timed`` to the number of pairs in which this checkout's value
+    is lower than the base's (:func:`count_wins`); points recorded before
+    it took several fields hold one count, on one field, there.
     """
     runs: dict[str, list[dict]] = {"base": [], "change": []}
     with _base_tree() as (commit, base_src):
@@ -114,9 +125,7 @@ def run_pairs(code: str, args: list[str], pairs: int, same: tuple[str, ...],
             values = [run[key] for run in side_runs]
             point[side][key] = values
             point[side][f"median_{key}"] = statistics.median(values)
-    point["change_wins"] = sum(
-        change[metric] < base[metric] for base, change in zip(runs["base"], runs["change"])
-    )
+    point["change_wins"] = count_wins(runs, timed)
     point["pairs"] = pairs
     return point
 

@@ -26,13 +26,13 @@ window.  Above the state cap the search refuses instead of degrading.
 
 Exports walk the vertices through the same neighbour kernel in blocks of
 about as many labels, format each block as ASCII bytes with numpy (one
-byte per digit place of the largest label, a byte mask dropping leading
-zeros) into buffers allocated once per export, and write those bytes, so
-their memory does not grow with the graph; they refuse above the cap in
-vertices or in arcs.  Labels are formatted in the narrowest unsigned
-dtype that holds n - 1 (at most two bytes a label up to 65,536 vertices),
-and an undirected block selects its edges u <= v straight from the
-kernel's neighbour block.
+byte per digit place of the largest label, a leading zero written as NUL
+and every NUL dropped by one ``bytes.replace``) into buffers allocated
+once per export, and write those bytes, so their memory does not grow
+with the graph; they refuse above the cap in vertices or in arcs.  Labels
+are formatted in the narrowest unsigned dtype that holds n - 1 (at most
+two bytes a label up to 65,536 vertices), and an undirected block selects
+its edges u <= v straight from the kernel's neighbour block.
 
 A BFS from the identity without distances goes around the level map where
 it can: every family of the paper is support-closed (each shift's
@@ -51,6 +51,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import IO
 
 import numpy as np
@@ -378,53 +379,72 @@ class _Rows:
 
     ``template`` is one row with a NUL byte where each label goes.  A row is
     laid out one byte per digit place: each label gets as many bytes as the
-    digits of ``largest``, between its literals; a keep mask of the same
-    shape keeps the literals and each label's significant digits.  Both are
-    allocated once, with the literals in place, so a block rewrites only its
-    label bytes and their masks, and its bytes are one boolean selection of
-    the row matrix.  The labels and their digit arithmetic use the narrowest
-    unsigned dtype that holds ``largest`` (``np.min_scalar_type``), so a
-    label below 2**16 costs two bytes per buffer, not eight.
+    digits of ``largest``, between its literals, and a place above a
+    label's leading digit is written as NUL, which no literal holds.  The
+    row matrix is allocated once, with the literals in place, so a block
+    rewrites only its label bytes, and its bytes are the matrix's with every
+    NUL dropped by one ``bytes.replace``.  The labels of a row fall into
+    runs of equally spaced fields (one run in edge-list and dot rows, two in
+    adjacency rows, whose first gap is wider), and each digit place is
+    written through one column slice with a step per run.  The labels and
+    their digit arithmetic use the narrowest unsigned dtype that holds
+    ``largest`` (``np.min_scalar_type``), so a label below 2**16 costs two
+    bytes per buffer, not eight.
     """
 
     def __init__(self, template: bytes, largest: int, capacity: int):
         literals = template.split(b"\0")
         self._digits = len(str(largest))
         row = bytes(self._digits).join(literals)
-        # a label's units digit is always kept, its other places per block
-        keep = (bytes(self._digits - 1) + b"\1").join(b"\1" * len(lit) for lit in literals)
         #: the column of each label's units digit
-        self._units = np.cumsum([len(lit) + self._digits for lit in literals[:-1]],
-                                dtype=np.intp) - 1
+        units = [column - 1 for column in
+                 accumulate(len(lit) + self._digits for lit in literals[:-1])]
+        #: (fields, units column, column stop, step) of each run of equally
+        #: spaced labels, so that a digit place is written through one
+        #: column slice per run
+        self._runs = []
+        first = 0
+        while first < len(units):
+            stop = first + 1
+            step = units[stop] - units[first] if stop < len(units) else 1
+            while stop < len(units) and units[stop] - units[stop - 1] == step:
+                stop += 1
+            self._runs.append((slice(first, stop), units[first], units[stop - 1] + 1, step))
+            first = stop
         #: the labels of the next block, one row per output row, in the
         #: narrowest unsigned dtype that holds ``largest``
-        self.values = np.empty((capacity, self._units.size), dtype=np.min_scalar_type(largest))
+        self.values = np.empty((capacity, len(units)), dtype=np.min_scalar_type(largest))
         self._row = np.empty((capacity, len(row)), dtype=np.uint8)
         self._row[:] = np.frombuffer(row, dtype=np.uint8)
-        self._keep = np.empty((capacity, len(row)), dtype=np.bool_)
-        self._keep[:] = np.frombuffer(keep, dtype=np.bool_)
         #: two rows of quotients, taken in turn, and one of digits, so that a
         #: block allocates no label-sized temporaries
         self._scratch = np.empty((3, *self.values.shape), dtype=self.values.dtype)
 
     def write(self, out: IO[bytes], count: int) -> None:
         """Write the first ``count`` rows of :attr:`values` to ``out``."""
-        values = self.values[:count]
-        rest, digit = values, self._scratch[2, :count]
+        row = self._row[:count]
+        rest, digit = self.values[:count], self._scratch[2, :count]
         for place in range(self._digits):
-            columns = self._units - place
             # the digit is rest - 10 * quotient: floor division by a scalar is
             # fast where np.remainder by 10 is not, and the subtraction keeps
             # the unsigned labels from wrapping
             quotient = np.floor_divide(rest, 10, out=self._scratch[place % 2, :count])
             np.multiply(quotient, 10, out=digit)
             np.subtract(rest, digit, out=digit)
-            digit += ord("0")
-            self._row[:count, columns] = digit
             if place:
-                self._keep[:count, columns] = values >= 10**place
+                # rest, spent once the digit is formed, becomes "0" where
+                # the label reaches this place and 0 above its leading
+                # digit, whose digit is 0 too: that place is written as NUL
+                # (the sign of an unsigned rest is its 0/1 mask)
+                np.sign(rest, out=rest)
+                np.multiply(rest, ord("0"), out=rest)
+                digit += rest
+            else:
+                digit += ord("0")
+            for fields, start, stop, step in self._runs:
+                row[:, start - place:stop - place:step] = digit[:, fields]
             rest = quotient
-        out.write(self._row[:count][self._keep[:count]])
+        out.write(row.tobytes().replace(b"\0", b""))
 
 
 def write_graph(

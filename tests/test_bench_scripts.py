@@ -68,3 +68,19 @@ def test_export_child_writes_the_export_bytes(scripts, tmp_path):
     assert point["bytes"] == len(data)
     assert point["sha256"] == hashlib.sha256(data).hexdigest()
     assert not path.exists()  # the child removes its file
+
+
+def test_pairs_count_wins_on_each_timed_field(scripts):
+    benchpoint, _, _, _ = scripts
+    # the change is faster on build_s in pairs 0 and 1 and on bfs_s in pair
+    # 2 alone; a tie is no win, and an untimed field is not counted
+    runs = {
+        "base": [{"build_s": 2.0, "bfs_s": 1.0, "peak_rss_mb": 9},
+                 {"build_s": 2.0, "bfs_s": 1.0, "peak_rss_mb": 9},
+                 {"build_s": 2.0, "bfs_s": 1.0, "peak_rss_mb": 9}],
+        "change": [{"build_s": 1.0, "bfs_s": 1.0, "peak_rss_mb": 1},
+                   {"build_s": 1.5, "bfs_s": 3.0, "peak_rss_mb": 1},
+                   {"build_s": 2.0, "bfs_s": 0.5, "peak_rss_mb": 1}],
+    }
+    assert benchpoint.count_wins(runs, ("build_s", "bfs_s")) == {"build_s": 2, "bfs_s": 1}
+    assert benchpoint.count_wins(runs, ("bfs_s",)) == {"bfs_s": 1}

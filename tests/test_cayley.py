@@ -689,18 +689,19 @@ def test_export_bytes_match_the_pinned_digests(spec_text):
 
 
 def test_export_peak_memory_does_not_grow_with_the_graph():
-    # a block holds about _BLOCK_ARCS labels, at most about 40 bytes each
-    # below 2**16: the uint16 label and three uint16 scratch rows (two of
-    # quotients, one of digits); a row byte and a mask byte per digit and
-    # literal byte, 12 to 18 per five-digit label; the selected output bytes;
-    # the kernel's int64 neighbour block, and undirected, the int64 sources
-    # and neighbours of the edges kept from it; so the bound is the same for
-    # 192 and 40,000 vertices
+    # a block holds about _BLOCK_ARCS labels, at most about 48 bytes each:
+    # the label and three scratch rows (two of quotients, one of digits), in
+    # uint16 below 2**16 and uint32 above; a row byte per digit and literal
+    # byte, its copy as bytes and the bytes left when its NULs are dropped,
+    # 7 to 10 each per five- or six-digit label; the kernel's int64
+    # neighbour block, and undirected, the int64 sources and neighbours of
+    # the edges kept from it; so the bound is the same for 192, 40,000 and
+    # 262,144 vertices
     class Discard:
         def write(self, data):
             return len(data)
 
-    for spec_text in ("thm2:k=4,d=9", "thm2:k=5,d=21"):
+    for spec_text in ("thm2:k=4,d=9", "thm2:k=5,d=21", "thm1:k=5,d=14"):
         gens = build(parse_spec(spec_text))
         for fmt in ("edge-list", "dot", "adjacency"):
             tracemalloc.start()
@@ -756,6 +757,40 @@ def test_rows_formatter_matches_percent_d(data):
             for row in block
         )
         assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("largest", [40_000 - 1, 2**16 - 1, 2**18 - 1, 10**9])
+@pytest.mark.parametrize("template,runs", [
+    # an edge-list row: one run
+    (b"\0 \0\n", 1),
+    # an adjacency row of degree 21: its first gap is one byte wider than
+    # the others, so the labels are two runs
+    (b"\0: " + b" ".join([b"\0"] * 21) + b"\n", 2),
+    # literals all of different lengths: no three labels are equally
+    # spaced, so each run holds at most two labels
+    (b"\0".join([b"<", b"", b"--", b"+++", b" -> ", b";\n\n\n\n\n"]), 3),
+], ids=["edge-list", "adjacency", "uneven"])
+def test_rows_formatter_splits_labels_into_runs(template, runs, largest):
+    # every label at each 10**p - 1 and 10**p up to largest, in every field,
+    # against b"%d" row by row
+    labels = sorted({0, largest} | {edge for p in range(11) for edge in (10**p - 1, 10**p)
+                                    if edge <= largest})
+    fields = template.count(0)
+    block = np.array([[labels[(i + j) % len(labels)] for j in range(fields)]
+                      for i in range(len(labels))], dtype=np.int64)
+    rows = cayley._Rows(template, largest, len(block))
+    assert rows.values.dtype == np.min_scalar_type(largest)
+    assert len(rows._runs) == runs
+    rows.values[:] = block
+    out = io.BytesIO()
+    rows.write(out, len(block))
+    literals = template.split(b"\0")
+    expected = b"".join(
+        literals[0] + b"".join(b"%d" % label + literal
+                               for label, literal in zip(row, literals[1:]))
+        for row in block.tolist()
+    )
+    assert out.getvalue() == expected
 
 
 def test_export_deterministic():
