@@ -121,22 +121,17 @@ def log2_enclosure(x: Fraction | int) -> tuple[Fraction, Fraction]:
         raise ParameterError("log2 needs a positive argument")
     num, den = x.numerator, x.denominator
 
-    def at_least_pow2(e: int) -> bool:
-        if e >= 0:
-            return num >= den << e
-        return num << -e >= den
-
+    # x lies in (2^(e-1), 2^(e+1)); the mantissa x / 2^e is scaled_num / scaled_den
     exponent = num.bit_length() - den.bit_length()
-    while not at_least_pow2(exponent):
-        exponent -= 1
-    while at_least_pow2(exponent + 1):
-        exponent += 1
-
-    work = 2 * _FRAC_BITS + 32
     if exponent >= 0:
         scaled_num, scaled_den = num, den << exponent
     else:
         scaled_num, scaled_den = num << -exponent, den
+    if scaled_num < scaled_den:
+        exponent -= 1
+        scaled_num <<= 1
+
+    work = 2 * _FRAC_BITS + 32
     lo = (scaled_num << work) // scaled_den
     hi = lo if lo * scaled_den == scaled_num << work else lo + 1
 
@@ -374,16 +369,12 @@ def compare(d: int, k: int, directed: bool = True) -> BoundRow:
         pass
     competitors = competitor_orders(d, k, directed)
     pool = _WINNER_POOL_DIRECTED if directed else _WINNER_POOL_UNDIRECTED
-    winner = None
-    winner_order = None
-    for name in pool:
-        order = our_order if name == our_name else competitors.get(name)
-        if order is None:
-            continue
-        if winner_order is None or order > winner_order:
-            winner, winner_order = name, order
-    if winner is None:
+    orders = {our_name: our_order, **competitors}
+    defined = [name for name in pool if orders.get(name) is not None]
+    if not defined:
         raise ParameterError(f"no construction is defined at d={d}, k={k}")
+    # max keeps the first of equal orders, and the pool lists ours first
+    winner = max(defined, key=orders.get)
     return BoundRow(
         k=k,
         d=d,

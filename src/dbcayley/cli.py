@@ -190,13 +190,11 @@ def _cmd_compare(args) -> int:
         )
         header = f"{'d':>6} " + " ".join(f"{n:>22}" for n in names) + "  winner"
         lines = [header]
-        for row, entry in zip(rows, payload):
-            cells = []
-            for name in names:
-                value = row.our_order if name == row.our_name else row.competitor_orders.get(name)
-                cells.append(f"{value if value is not None else '-':>22}")
+        for entry in payload:
+            values = [entry.get(name) for name in names]
+            cells = " ".join(f"{'-' if value is None else value:>22}" for value in values)
             mark = " *" if entry["crossover"] else ""
-            lines.append(f"{row.d:>6} " + " ".join(cells) + f"  {row.winner}{mark}")
+            lines.append(f"{entry['d']:>6} {cells}  {entry['winner']}{mark}")
         _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -34,7 +34,14 @@ from dataclasses import dataclass, field
 
 from .group import GroupElement, GroupParams, ParameterError
 
-_KINDS = ("thm1", "thm2", "thm3", "thm4")
+#: each kind's spec keys in canonical order; the key ``l`` is the field ``ell``
+_KEYS = {"thm1": ("k", "d"), "thm2": ("k", "d"),
+         "thm3": ("k", "l", "t", "m"), "thm4": ("k", "l", "t", "m")}
+_KINDS = tuple(_KEYS)
+
+
+def _field(key: str) -> str:
+    return "ell" if key == "l" else key
 
 
 class SpecParseError(ValueError):
@@ -128,9 +135,8 @@ class ConstructionSpec:
         return 2 * t**ell + (2 * r - 3) * t**m - r
 
     def canonical(self) -> str:
-        if self.kind in ("thm1", "thm2"):
-            return f"{self.kind}:k={self.k},d={self.d}"
-        return f"{self.kind}:k={self.k},l={self.ell},t={self.t},m={self.m}"
+        pairs = (f"{key}={getattr(self, _field(key))}" for key in _KEYS[self.kind])
+        return f"{self.kind}:" + ",".join(pairs)
 
 
 @dataclass
@@ -228,28 +234,25 @@ def validate(gens: GeneratorSet) -> ValidationReport:
     )
 
 
-def _digit_block(
-    params: GroupParams, width: int, shift: int, start: int = 0
-) -> list[GroupElement]:
+def _digit_block(params: GroupParams, width: int, shift: int) -> list[GroupElement]:
     """Every element of the given shift whose vector's digits lie in the
-    first ``width`` coordinates, in index order from vector index ``start``;
+    first ``width`` coordinates, in index order from the zero vector;
     ``shift`` lies in [0, r), and digits drawn from range(t) are canonical.
 
     ``itertools.product`` counts with its last digit fastest, so each tuple
     is reversed to put coordinate 0 least significant, then padded with
     zeros to length r."""
     pad = (0,) * (params.r - width)
-    digits = itertools.product(range(params.t), repeat=width)
     return [
         GroupElement(low[::-1] + pad, shift)
-        for low in itertools.islice(digits, start, None)
+        for low in itertools.product(range(params.t), repeat=width)
     ]
 
 
 def _thm4_classes(params: GroupParams, ell: int, m: int) -> list[list[GroupElement]]:
     r = params.r
     longs = _digit_block(params, ell, ell)
-    nonzero = _digit_block(params, m, 0, start=1)
+    nonzero = _digit_block(params, m, 0)[1:]
     shorts = [GroupElement(v, s) for s in range(r) if s not in (0, ell) for v, _ in nonzero]
     excluded = {0, ell, (-ell) % r}
     return [
@@ -360,7 +363,8 @@ def corollary_params(k: int, ell: int | str = "auto") -> CorollarySelection:
     smallest such ell.  All arithmetic is exact: the ceiling in
     r = ceil(k*ell - log2(k^2*ell)) reduces to r = k*ell - floor(log2(k^2*ell)),
     computed with integer bit lengths, and the ell-condition is the integer
-    comparison (k^2*ell)^4 <= 2^(3*ell).
+    comparison (k^2*ell)^4 <= 2^(3*ell).  It gives 0 < m < ell, as
+    m = ell - floor(log2(k^2*ell)) and 4 <= floor(log2(k^2*ell)) <= (3/4)*ell.
     """
     if k < 3:
         raise ParameterError(f"corollary selection requires k >= 3, got k={k}")
@@ -384,11 +388,6 @@ def corollary_params(k: int, ell: int | str = "auto") -> CorollarySelection:
     log_floor = (k * k * ell).bit_length() - 1
     r = k * ell - log_floor
     m = r - (k - 1) * ell
-    if not 0 < m < ell:
-        raise ParameterError(
-            f"selected m={m} falls outside 0 < m < ell={ell} (r={r}); "
-            f"parameters are reported, not adjusted"
-        )
     d_dir = ConstructionSpec("thm3", k=k, ell=ell, t=2, m=m).expected_degree()
     d_und = ConstructionSpec("thm4", k=k, ell=ell, t=2, m=m).expected_degree()
     return CorollarySelection(k=k, ell=ell, t=2, r=r, m=m,
@@ -437,15 +436,8 @@ def parse_spec(text: str) -> ConstructionSpec:
     if head not in _KINDS:
         raise SpecParseError(f"unknown construction kind {head!r}")
     fields = _parse_fields(body, head)
-    if head in ("thm1", "thm2"):
-        wanted = {"k", "d"}
-    else:
-        wanted = {"k", "l", "t", "m"}
-    if set(fields) != wanted:
+    if set(fields) != set(_KEYS[head]):
         raise SpecParseError(
-            f"{head}: expected keys {sorted(wanted)}, got {sorted(fields)}"
+            f"{head}: expected keys {sorted(_KEYS[head])}, got {sorted(fields)}"
         )
-    if head in ("thm1", "thm2"):
-        return ConstructionSpec(head, k=fields["k"], d=fields["d"])
-    return ConstructionSpec(head, k=fields["k"], ell=fields["l"],
-                            t=fields["t"], m=fields["m"])
+    return ConstructionSpec(head, **{_field(key): value for key, value in fields.items()})

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -19,6 +20,7 @@ from dbcayley import (
     moore_bound,
     optimal_ell,
 )
+from dbcayley.bounds import BOUNDARY, FAILS, HOLDS, _compare_ge
 
 
 # --- Moore bounds and competitors ------------------------------------------------
@@ -111,6 +113,40 @@ def test_log2_enclosure_within_exact_rational_brackets():
     assert exact_log2_le(Fraction(81), Fraction(32, 5))
     lo, hi = log2_enclosure(81)
     assert Fraction(19, 3) < lo <= hi < Fraction(32, 5)
+
+
+def test_log2_enclosure_concedes_an_ambiguous_bit():
+    # x is within 2^-130 of sqrt(2), so x^2 straddles 2 at the first bit:
+    # every fractional bit is conceded and the interval has width 1
+    x = Fraction(isqrt(2 << 260), 1 << 130)
+    assert abs(x * x - 2) < Fraction(1, 1 << 128)
+    lo, hi = log2_enclosure(x)
+    assert (lo, hi) == (0, 1)
+    assert float(lo) <= math.log2(float(x)) <= float(hi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: log2_enclosure(0),
+    lambda: exact_log2_le(Fraction(0), Fraction(1)),
+    lambda: corollary_lower_bound(2, 10, True),
+    lambda: corollary_lower_bound(3, 2, False),
+])
+def test_log2_and_lower_bound_refusals(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
+@pytest.mark.parametrize("lo,hi,strict,verdict", [
+    (2, 3, False, HOLDS),
+    (0, 2, False, BOUNDARY),
+    (0, 1, False, FAILS),
+    (3, 4, True, HOLDS),
+    (2, 3, True, BOUNDARY),
+    (0, 2, True, FAILS),
+])
+def test_compare_ge_verdicts(lo, hi, strict, verdict):
+    # is the value in [lo, hi] at least 2 (strict: above 2)?
+    assert _compare_ge(Fraction(lo), Fraction(hi), Fraction(2), strict=strict) == verdict
 
 
 def test_exact_log2_le():

@@ -6,6 +6,7 @@ import itertools
 import random
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,6 +139,11 @@ def test_bfs_refuses_above_cap():
     with pytest.raises(CapExceededError) as excinfo:
         bfs_from_identity(gens, cap=1_000_000)
     assert excinfo.value.required == 44_040_192
+    # bfs_from refuses on its own when called directly
+    gens = thm1_directed(4, 3)  # order 24
+    with pytest.raises(CapExceededError) as excinfo:
+        bfs_from(gens, gens.params.identity(), cap=23)
+    assert excinfo.value.required == 24
 
 
 def test_bfs_reports_unreachable_for_non_generating_set():
@@ -574,6 +580,32 @@ def test_verify_without_bfs():
     assert report.degree == 671
     assert report.diameter is None
     assert report.histogram is None
+
+
+def test_verify_reports_a_diameter_other_than_k(monkeypatch):
+    # thm1:k=4,d=3 has 24 vertices of degree 3; the Moore ratio is taken at
+    # the BFS diameter: 24 / (1 + 3 + ... + 3^5) = 6/91
+    deeper = cayley.BfsResult(diameter=5, histogram=[1, 3, 6, 9, 4, 1])
+    monkeypatch.setattr(cayley, "bfs_from_identity", lambda gens, cap: deeper)
+    report = verify_construction("thm1:k=4,d=3")
+    assert report.discrepancies == ["BFS diameter 5 != claimed diameter 4"]
+    assert report.validation.ok and not report.ok
+    assert report.diameter == 5
+    assert report.moore_ratio == Fraction(6, 91)
+
+
+def test_verify_reports_unreachable_vertices(monkeypatch):
+    def disconnected(gens, cap):
+        raise DisconnectedGraphError(20, [1, 3])
+
+    monkeypatch.setattr(cayley, "bfs_from_identity", disconnected)
+    report = verify_construction("thm1:k=4,d=3")
+    assert report.discrepancies == ["20 vertices unreachable from identity"]
+    assert not report.ok
+    assert report.histogram == [1, 3]
+    assert report.diameter is None
+    # no BFS diameter, so the ratio is taken at the claimed k = 4
+    assert report.moore_ratio == Fraction(24, 1 + 3 + 9 + 27 + 81)
 
 
 def test_verify_propagates_cap_refusal():

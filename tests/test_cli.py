@@ -280,6 +280,13 @@ def test_compare_undirected(capsys):
     assert int(row["mssv"]) == 20 * 33**20
 
 
+def test_compare_refuses_an_empty_degree_range(capsys):
+    code, out, err = run_cli(capsys, "compare", "4", "10", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: empty degree range 10..5\n"
+
+
 def test_compare_table_format(capsys):
     code, out, _ = run_cli(capsys, "compare", "4", "7", "9", "--format", "table")
     assert code == EXIT_OK
@@ -297,6 +304,20 @@ def test_search_subcommand(capsys):
     assert {c["ell"]: c["degree"] for c in payload["candidates"]} == {
         8: 895, 9: 671, 10: 1063
     }
+
+
+def test_search_table_format(capsys):
+    code, out, _ = run_cli(capsys, "search", "3", "2", "21", "--format", "table")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "optimal ell for k=3, t=2, r=21",
+        "  ell=9  m=3  degree=671",
+        "  continuous prediction ell* = 8.7740",
+        "  candidates:",
+        "    ell=8    m=5    degree=895",
+        "    ell=9    m=3    degree=671",
+        "    ell=10   m=1    degree=1063",
+    ]
 
 
 def test_search_usage_error(capsys):
@@ -323,23 +344,22 @@ def test_verify_output_to_file(tmp_path, capsys):
 
 
 def test_warn_only_downgrades_failure(capsys, monkeypatch):
-    # force a diameter discrepancy by tampering with the claimed diameter
-    import dbcayley.cli as cli_mod
-
-    original = cli_mod.verify_construction
-
-    def tampered(spec, cap):
-        report = original(spec, cap=cap)
-        report.discrepancies.append("synthetic discrepancy for testing")
-        return report
-
-    monkeypatch.setattr(cli_mod, "verify_construction", tampered)
-    code, _, err = run_cli(capsys, "verify", "thm1:k=4,d=3")
+    # a BFS one level deeper than the claimed k = 4 is a diameter failure
+    deeper = cayley.BfsResult(diameter=5, histogram=[1, 3, 6, 9, 4, 1])
+    monkeypatch.setattr(cayley, "bfs_from_identity", lambda gens, cap: deeper)
+    code, out, _ = run_cli(capsys, "verify", "thm1:k=4,d=3")
     assert code == EXIT_FAILURE
+    assert json.loads(out)["validation"]["discrepancies"] == [
+        "BFS diameter 5 != claimed diameter 4"
+    ]
+
+    code, out, _ = run_cli(capsys, "verify", "thm1:k=4,d=3", "--format", "table")
+    assert code == EXIT_FAILURE
+    assert "discrepancy       BFS diameter 5 != claimed diameter 4\n" in out
 
     code, _, err = run_cli(capsys, "verify", "thm1:k=4,d=3", "--warn-only")
     assert code == EXIT_OK
-    assert "synthetic discrepancy" in err
+    assert err == "warning: BFS diameter 5 != claimed diameter 4\n"
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

@@ -53,6 +53,16 @@ def test_thm1_bounds():
         thm1_directed(4, 2)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"kind": "thm9", "k": 4}, "unknown construction kind 'thm9'"),
+    ({"kind": "thm1", "k": 4}, "thm1 requires a degree d"),
+    ({"kind": "thm3", "k": 3}, "thm3 requires ell, t and m"),
+])
+def test_spec_refuses_missing_or_unknown_fields(kwargs, message):
+    with pytest.raises(ParameterError, match=message):
+        ConstructionSpec(**kwargs)
+
+
 def test_thm2_small_instance():
     gens = thm2_undirected(4, 5)
     assert gens.params.t == 2 and gens.params.r == 3
@@ -266,7 +276,7 @@ def test_digit_block_lists_decoded_indices_in_order(block):
         GroupElement(params.decode(v).vector, shift)
         for v in range(start, params.t**width)
     ]
-    assert _digit_block(params, width, shift, start) == expected
+    assert _digit_block(params, width, shift)[start:] == expected
 
 
 # --- validation reporting -------------------------------------------------------
@@ -378,6 +388,8 @@ def test_corollary_rejects_bad_ell():
     # log2(72) ~ 6.17 > 6 = 0.75 * 8
     with pytest.raises(ParameterError):
         corollary_params(3, 8)
+    with pytest.raises(ParameterError, match="ell must be >= 2"):
+        corollary_params(3, 1)
 
 
 def test_corollary_requires_k_at_least_3():
@@ -427,6 +439,9 @@ def test_parse_cor_resolves_to_thm3():
     "thm1:k=4,d=3,m=1",
     "thm1:k=4,d=3,d=5",
     "cor:k=3,k=4",
+    "thm1:",
+    "thm1:k4,d=3",
+    "cor:l=9",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(SpecParseError):

@@ -158,6 +158,8 @@ def test_mul_rejects_mismatched_vectors():
     alien = GroupElement((1, 0), 1)
     with pytest.raises(ParameterError):
         params.mul(params.identity(), alien)
+    with pytest.raises(ParameterError, match="vector length 2 does not match r=3"):
+        params.element([1, 0], 0)
 
 
 # --- dense indexing -----------------------------------------------------------
